@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import UnknownColumn, UnknownItem, UnknownUser
 
+EQ1_CENTERS = ("user", "item")  # deviation baselines of predict_user_item
+
 
 def derive_item_rating(stars: float, sentiment: float, blend_weight: float = 0.5) -> float:
     """Blend the review star rating with the fragment sentiment score.
@@ -180,8 +182,8 @@ def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarr
     the deviation baseline: "user" subtracts each neighbor's own mean,
     "item" subtracts the column mean.
     """
-    if center not in ("user", "item"):
-        raise ValueError("center must be 'user' or 'item'")
+    if center not in EQ1_CENTERS:
+        raise ValueError(f"center must be one of {EQ1_CENTERS}")
     k = matrix.user_index.get(user_id)
     if k is None:
         raise UnknownUser(user_id)
@@ -237,12 +239,6 @@ def positive_counts(item_id, scored_fragments) -> dict[str, int]:
         if f.score > 0.0:
             counts[f.restaurant_id] += 1
     return counts
-
-
-def baseline_recommend(item_id, scored_fragments) -> list[tuple[str, int]]:
-    """Restaurants ranked by positive-fragment count, ties by id ascending."""
-    counts = positive_counts(item_id, scored_fragments)
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def baseline_predict(column, scored_fragments, fallback: float = 3.0) -> float:

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import evalx, pipeline
+from .cf import EQ1_CENTERS
 from .corpus import load_lexicons, load_restaurants, load_reviews, normalize
 from .errors import InputError, InvalidConfig, QueryError, TrainingError
 from .modelio import save_model
@@ -22,29 +24,57 @@ from .synth import load_corpus_dir, synth_corpus, write_corpus_dir
 
 USAGE_EXIT = 64
 
-CONFIG_KEYS = {
-    "seed": int,
-    "side_weight": float,
-    "top_k": int,
-    "neighbors": int,
-    "eq1_center": str,
-    "blend_weight": float,
-    "relevance": float,
-    "sentiment": str,
-    "split_round": str,
+
+def _checked(convert, ok, expected):
+    """A setting parser: convert the text, then require ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+def _one_of(choices):
+    parse = _checked(str, choices.__contains__, "one of " + ", ".join(choices))
+    parse.metavar = "{" + ",".join(choices) + "}"
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+
+# Every setting a flag or config file can give: key -> (parser, package default).
+SETTINGS = {
+    "seed": (_checked(int, lambda v: v >= 0, "an integer >= 0"), 0),
+    "side_weight": (_finite_float, 0.2),
+    "top_k": (_positive_int, 10),
+    "neighbors": (int, 20),
+    "eq1_center": (_one_of(EQ1_CENTERS), "user"),
+    "blend_weight": (_finite_float, 0.5),
+    "relevance": (_finite_float, 4.0),
+    "sentiment": (_one_of(pipeline.SENTIMENT_KINDS), "nb"),
+    "split_round": (_one_of(evalx.SPLIT_ROUNDS), "floor"),
 }
 
-DEFAULTS = {
-    "seed": 0,
-    "side_weight": 0.2,
-    "top_k": 10,
-    "neighbors": 20,
-    "eq1_center": "user",
-    "blend_weight": 0.5,
-    "relevance": 4.0,
-    "sentiment": "nb",
-    "split_round": "floor",
-}
+
+def _flag_type(parse):
+    """A setting parser as an argparse type: a bad value is a usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
+
+
+def _add_setting(parser, key):
+    parse = SETTINGS[key][0]
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(parse),
+                        metavar=getattr(parse, "metavar", None))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,12 +95,12 @@ def load_config(path) -> dict:
             raise InvalidConfig(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise InvalidConfig(f"config line {lineno}: unknown key {key!r}")
         try:
-            config[key] = CONFIG_KEYS[key](value.strip())
-        except ValueError:
-            raise InvalidConfig(f"config line {lineno}: bad value for {key!r}")
+            config[key] = SETTINGS[key][0](value.strip())
+        except ValueError as exc:
+            raise InvalidConfig(f"config line {lineno}: bad value for {key!r}: {exc}")
     return config
 
 
@@ -81,7 +111,7 @@ def _resolve(args, config, key, default=None):
         return flag
     if key in config:
         return config[key]
-    return DEFAULTS[key] if default is None else default
+    return SETTINGS[key][1] if default is None else default
 
 
 def build_parser() -> _Parser:
@@ -94,14 +124,14 @@ def build_parser() -> _Parser:
     p.add_argument("--restaurants", required=True)
     p.add_argument("--lexicons", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    _add_setting(p, "seed")
 
     p = sub.add_parser("train-sentiment", help="train a fragment sentiment model")
     p.add_argument("--model", required=True, choices=pipeline.SENTIMENT_KINDS)
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--labels", required=True, help="manual or threshold:T")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    _add_setting(p, "seed")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
 
@@ -109,33 +139,28 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--user", required=True)
     p.add_argument("--item", required=True, help="item id or canonical name")
-    p.add_argument("--method", default="user", choices=["baseline", "user", "item", "fm"])
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.add_argument("--side-weight", type=float, dest="side_weight")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sentiment", choices=pipeline.SENTIMENT_KINDS)
-    p.add_argument("--neighbors", type=int)
-    p.add_argument("--eq1-center", dest="eq1_center", choices=["user", "item"])
+    p.add_argument("--method", default="user", choices=evalx.BENCHMARK_METHODS)
+    for key in ("top_k", "side_weight", "seed", "sentiment", "neighbors", "eq1_center"):
+        _add_setting(p, key)
 
     p = sub.add_parser("sides", help="export side-dish communities or topics")
     p.add_argument("--corpus", required=True)
     p.add_argument("--method", required=True, choices=["louvain", "lda"])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--topics", type=int, default=10)
+    _add_setting(p, "seed")
+    p.add_argument("--topics", type=_flag_type(_positive_int), default=10)
     p.add_argument("--iterations", type=int, default=500)
 
     p = sub.add_parser("evaluate", help="run the recommender benchmark")
     p.add_argument("--corpus", required=True)
     p.add_argument("--methods", default="baseline,user,item,fm")
-    p.add_argument("--seed", type=int)
+    _add_setting(p, "seed")
     p.add_argument("--out", required=True)
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.add_argument("--side-weight", type=float, dest="side_weight")
-    p.add_argument("--relevance", type=float)
+    for key in ("top_k", "side_weight", "relevance"):
+        _add_setting(p, key)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with gold files")
-    p.add_argument("--seed", type=int)
+    _add_setting(p, "seed")
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--restaurants", type=int, required=True)
     p.add_argument("--items", type=int, required=True)
@@ -173,16 +198,14 @@ def cmd_ingest(args, config):
 
 
 def _parse_label_mode(value):
+    """'manual' or 'threshold:T' as fragment_labels_for's (mode, threshold)."""
     if value == "manual":
         return "manual", None
     if value.startswith("threshold:"):
         try:
-            t = float(value.split(":", 1)[1])
+            return "threshold", float(value.split(":", 1)[1])
         except ValueError:
             raise InvalidConfig(f"bad threshold in {value!r}")
-        if t not in evalx.THRESHOLD_VALUES:
-            raise InvalidConfig(f"threshold must be one of {evalx.THRESHOLD_VALUES}")
-        return "threshold", t
     raise InvalidConfig(f"labels must be 'manual' or 'threshold:T', got {value!r}")
 
 
@@ -192,9 +215,7 @@ def cmd_train_sentiment(args, config):
     corpus = load_corpus_dir(args.corpus)
     token_map = pipeline.normalize_reviews(corpus.reviews, corpus.lexicons)
     fragments = pipeline.make_fragments(corpus.reviews, token_map, corpus.items)
-    labels = pipeline.fragment_labels_for(
-        corpus, fragments, mode, threshold if threshold is not None else 2.5
-    )
+    labels = pipeline.fragment_labels_for(corpus, fragments, mode, threshold)
     labeled = [f for f in fragments if (f.review_id, f.item_id) in labels]
     train_frags, test_frags = evalx.train_test_split(
         labeled, 0.8, seed, _resolve(args, config, "split_round")
@@ -347,7 +368,8 @@ def main(argv=None) -> int:
         if config_path:
             config = load_config(config_path)
         return _COMMANDS[args.command](args, config)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError, ValueError) as exc:
+        # a ValueError that no check caught is still a bad input, never a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

@@ -118,13 +118,36 @@ class Vocabulary:
 def _validate_stars(value):
     try:
         stars = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not 1.0 <= stars <= 5.0:  # also rejects NaN and infinities
         return None
     if abs(stars * 2 - round(stars * 2)) > 1e-9:
         return None
-    if not 1.0 <= stars <= 5.0:
-        return None
     return stars
+
+
+def _json_lines(path):
+    """Yield (1-based line number, decoded value) for each non-blank line.
+
+    Bytes that are not UTF-8 raise InputError; a line that is not JSON
+    raises MalformedRecord with its line number.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}")
+                except RecursionError:
+                    raise MalformedRecord(lineno, "invalid JSON: nested too deeply")
+                yield lineno, obj
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 _REVIEW_FIELDS = {"review_id", "restaurant_id", "user_id", "stars", "text", "annotated_label"}
@@ -138,46 +161,38 @@ def load_reviews(path) -> list[ReviewRecord]:
     """
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}")
-            if not isinstance(obj, dict):
-                raise MalformedRecord(lineno, "record is not an object")
-            unknown = set(obj) - _REVIEW_FIELDS
-            if unknown:
-                raise MalformedRecord(lineno, f"unknown fields {sorted(unknown)}")
-            missing = {"review_id", "restaurant_id", "user_id", "stars", "text"} - set(obj)
-            if missing:
-                raise MalformedRecord(lineno, f"missing fields {sorted(missing)}")
-            stars = _validate_stars(obj["stars"])
-            if stars is None:
-                raise MalformedRecord(lineno, f"stars {obj['stars']!r} not in 1.0..5.0 by 0.5 steps")
-            text = str(obj["text"])
-            if not text.strip():
-                raise MalformedRecord(lineno, "empty review text")
-            label = obj.get("annotated_label", UNLABELED)
-            if label not in (POSITIVE, NEGATIVE, UNLABELED):
-                raise MalformedRecord(lineno, f"bad annotated_label {label!r}")
-            rid = str(obj["review_id"])
-            if rid in seen:
-                raise DuplicateId(f"duplicate review_id {rid!r} at line {lineno}")
-            seen.add(rid)
-            records.append(
-                ReviewRecord(
-                    review_id=rid,
-                    restaurant_id=str(obj["restaurant_id"]),
-                    user_id=str(obj["user_id"]),
-                    stars=stars,
-                    text=text,
-                    annotated_label=label,
-                )
+    for lineno, obj in _json_lines(path):
+        if not isinstance(obj, dict):
+            raise MalformedRecord(lineno, "record is not an object")
+        unknown = set(obj) - _REVIEW_FIELDS
+        if unknown:
+            raise MalformedRecord(lineno, f"unknown fields {sorted(unknown)}")
+        missing = {"review_id", "restaurant_id", "user_id", "stars", "text"} - set(obj)
+        if missing:
+            raise MalformedRecord(lineno, f"missing fields {sorted(missing)}")
+        stars = _validate_stars(obj["stars"])
+        if stars is None:
+            raise MalformedRecord(lineno, f"stars {obj['stars']!r} not in 1.0..5.0 by 0.5 steps")
+        text = str(obj["text"])
+        if not text.strip():
+            raise MalformedRecord(lineno, "empty review text")
+        label = obj.get("annotated_label", UNLABELED)
+        if label not in (POSITIVE, NEGATIVE, UNLABELED):
+            raise MalformedRecord(lineno, f"bad annotated_label {label!r}")
+        rid = str(obj["review_id"])
+        if rid in seen:
+            raise DuplicateId(f"duplicate review_id {rid!r} at line {lineno}")
+        seen.add(rid)
+        records.append(
+            ReviewRecord(
+                review_id=rid,
+                restaurant_id=str(obj["restaurant_id"]),
+                user_id=str(obj["user_id"]),
+                stars=stars,
+                text=text,
+                annotated_label=label,
             )
+        )
     return records
 
 
@@ -205,28 +220,20 @@ def save_reviews(records, path):
 def load_restaurants(path) -> list[RestaurantProfile]:
     profiles = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}")
-            try:
-                rid = str(obj["restaurant_id"])
-                name = str(obj["name"])
-                cuisines = tuple(str(c) for c in obj.get("cuisines", []))
-                rating = float(obj["zomato_rating"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecord(lineno, f"bad restaurant record: {exc}")
-            if not 1.0 <= rating <= 5.0:
-                raise MalformedRecord(lineno, f"zomato_rating {rating} out of range")
-            if rid in seen:
-                raise DuplicateId(f"duplicate restaurant_id {rid!r} at line {lineno}")
-            seen.add(rid)
-            profiles.append(RestaurantProfile(rid, name, cuisines, rating))
+    for lineno, obj in _json_lines(path):
+        try:
+            rid = str(obj["restaurant_id"])
+            name = str(obj["name"])
+            cuisines = tuple(str(c) for c in obj.get("cuisines", []))
+            rating = float(obj["zomato_rating"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedRecord(lineno, f"bad restaurant record: {exc}")
+        if not 1.0 <= rating <= 5.0:
+            raise MalformedRecord(lineno, f"zomato_rating {rating} out of range")
+        if rid in seen:
+            raise DuplicateId(f"duplicate restaurant_id {rid!r} at line {lineno}")
+        seen.add(rid)
+        profiles.append(RestaurantProfile(rid, name, cuisines, rating))
     return profiles
 
 
@@ -357,11 +364,6 @@ def normalize(text: str, lex: LexiconSet) -> list[str]:
             expanded.append(tok)
 
     return [t for t in expanded if t in PROTECTED_TOKENS or t not in lex.stopwords]
-
-
-def strip_markers(tokens) -> list[str]:
-    """Drop clause markers, keeping only content tokens."""
-    return [t for t in tokens if t not in CLAUSE_MARKERS]
 
 
 def build_vocabulary(corpus, min_count: int = 1) -> Vocabulary:

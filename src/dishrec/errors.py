@@ -60,6 +60,10 @@ class EmptyGraph(TrainingError):
     pass
 
 
+class ModularityDecreased(TrainingError):
+    pass
+
+
 class EmptyCorpus(TrainingError):
     pass
 

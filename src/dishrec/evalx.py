@@ -10,19 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf import derive_item_rating
-from .corpus import NEGATIVE, POSITIVE, UNLABELED
+from .corpus import NEGATIVE, POSITIVE
 from .errors import QueryError, UndefinedMetric
 from .pipeline import build_recommender, fragment_labels_for, make_fragments, normalize_reviews
-from .synth import CorpusData, synth_corpus  # noqa: F401  (part of this module's API)
+from .synth import CorpusData
 
-THRESHOLD_VALUES = (2.0, 2.5, 3.0)
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    ref: str            # review_id (or review_id:item_id for fragments)
-    label: str
-    source: str         # "manual" or "threshold(t)"
+SPLIT_ROUNDS = ("floor", "round")
 
 
 @dataclass
@@ -59,8 +52,8 @@ def train_test_split(items, train_fraction: float = 0.8, seed: int = 0,
     """
     if not 0.0 <= train_fraction <= 1.0:
         raise ValueError("train_fraction must be in [0, 1]")
-    if split_round not in ("floor", "round"):
-        raise ValueError("split_round must be 'floor' or 'round'")
+    if split_round not in SPLIT_ROUNDS:
+        raise ValueError(f"split_round must be one of {SPLIT_ROUNDS}")
     items = list(items)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(items))
@@ -69,24 +62,6 @@ def train_test_split(items, train_fraction: float = 0.8, seed: int = 0,
     train = [items[i] for i in order[:n_train]]
     test = [items[i] for i in order[n_train:]]
     return train, test
-
-
-def derive_threshold_labels(reviews, t: float) -> list[LabeledExample]:
-    """Positive iff stars >= t (the boundary counts as positive)."""
-    if t not in THRESHOLD_VALUES:
-        raise ValueError(f"threshold must be one of {THRESHOLD_VALUES}")
-    return [
-        LabeledExample(r.review_id, POSITIVE if r.stars >= t else NEGATIVE, f"threshold({t})")
-        for r in reviews
-    ]
-
-
-def derive_manual_labels(reviews) -> list[LabeledExample]:
-    return [
-        LabeledExample(r.review_id, r.annotated_label, "manual")
-        for r in reviews
-        if r.annotated_label != UNLABELED
-    ]
 
 
 def confusion(predictions, golds):
@@ -181,10 +156,12 @@ def _held_out_truth(corpus: CorpusData, test_reviews, test_fragments, blend_weig
     Planted gold ratings are used when the corpus carries them; otherwise
     the truth is derived from the test review's stars and its gold fragment
     label (the same derivation the pipeline applies on the training side).
+    Repeated mentions of one (user, column) are averaged, as RatingMatrix
+    averages them on the training side.
     """
     labels = fragment_labels_for(corpus, test_fragments, "manual")
     by_id = {r.review_id: r for r in test_reviews}
-    truth = {}
+    golds = {}
     for f in test_fragments:
         review = by_id[f.review_id]
         key = (review.user_id, (review.restaurant_id, f.item_id))
@@ -193,8 +170,8 @@ def _held_out_truth(corpus: CorpusData, test_reviews, test_fragments, blend_weig
             label = labels.get((f.review_id, f.item_id))
             sentiment = 0.0 if label is None else (1.0 if label == POSITIVE else -1.0)
             gold = derive_item_rating(review.stars, sentiment, blend_weight)
-        truth[key] = gold
-    return truth
+        golds.setdefault(key, []).append(gold)
+    return {key: sum(values) / len(values) for key, values in golds.items()}
 
 
 def run_benchmark(corpus: CorpusData, methods=BENCHMARK_METHODS, seed: int = 0,

@@ -17,6 +17,7 @@ from .sides import build_comention_graph, louvain
 from .synth import CorpusData
 
 SENTIMENT_KINDS = ("nb", "bow-lr", "bow-dt", "lstm")
+THRESHOLD_VALUES = (2.0, 2.5, 3.0)
 
 
 def normalize_reviews(reviews, lexicons) -> dict[str, list[str]]:
@@ -37,8 +38,10 @@ def fragment_labels_for(corpus: CorpusData, fragments, mode: str, threshold: flo
 
     "manual" prefers per-fragment gold labels, falling back to the review's
     annotated label (unlabeled reviews are skipped); "threshold" labels by
-    review stars >= threshold.
+    review stars >= threshold, for a threshold in THRESHOLD_VALUES.
     """
+    if mode == "threshold" and threshold not in THRESHOLD_VALUES:
+        raise InvalidConfig(f"threshold must be one of {THRESHOLD_VALUES}")
     by_id = {r.review_id: r for r in corpus.reviews}
     labels = {}
     for f in fragments:
@@ -60,8 +63,9 @@ def fragment_labels_for(corpus: CorpusData, fragments, mode: str, threshold: flo
 def train_sentiment(kind: str, fragments, labels, seed: int = 0, **hyper):
     """Train one classifier kind on the labeled fragments.
 
-    Returns (model, vocab); vocab is the binary-BoW / embedding vocabulary
-    fitted on the labeled training fragments.
+    Returns (model, vocab); vocab is the vocabulary fitted once on the
+    labeled training fragments (an NB model's own, else the binary-BoW /
+    embedding one).
     """
     pairs = [
         (f, labels[(f.review_id, f.item_id)])
@@ -72,9 +76,10 @@ def train_sentiment(kind: str, fragments, labels, seed: int = 0, **hyper):
         raise SingleClassCorpus("no labeled fragments")
     token_lists = [list(f.tokens) for f, _ in pairs]
     y = [lab for _, lab in pairs]
-    vocab = build_vocabulary(token_lists, min_count=1)
     if kind == "nb":
-        return nb_train(token_lists, y, alpha=hyper.get("alpha", 1.0)), vocab
+        model = nb_train(token_lists, y, alpha=hyper.get("alpha", 1.0))
+        return model, model.vocab
+    vocab = build_vocabulary(token_lists, min_count=1)
     if kind == "bow-lr":
         X = bow_matrix(token_lists, vocab)
         return lr_train(X, y, l2=hyper.get("l2", 1e-3), lr=hyper.get("lr", 0.1),

@@ -12,7 +12,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, EmptyGraph
+from .errors import EmptyCorpus, EmptyGraph, ModularityDecreased
 
 
 class WeightedGraph:
@@ -196,7 +196,8 @@ def louvain(graph: WeightedGraph) -> dict:
         assignment = _one_level(adj, self_w)
         candidate = [assignment[flat[i]] for i in range(len(nodes))]
         q_new = modularity(graph, {u: candidate[index[u]] for u in nodes})
-        assert q_new >= q_prev - 1e-9, "modularity decreased across a phase"
+        if q_new < q_prev - 1e-9:
+            raise ModularityDecreased(f"modularity fell from {q_prev} to {q_new} across a phase")
         if q_new <= q_prev + _GAIN_EPS:
             break
         flat = candidate

@@ -6,7 +6,6 @@ from dishrec.cf import (
     Recommender,
     ScoredFragment,
     baseline_predict,
-    baseline_recommend,
     build_rating_matrix,
     column_similarity,
     cosine_sim,
@@ -235,17 +234,22 @@ class TestBaseline:
         frag("u3", "rB", 2, 0.9, 5.0, "v5"),
     ]
 
+    @staticmethod
+    def ranked(item_id, frags):
+        """The baseline ranking: positive-fragment count, ties by id ascending."""
+        matrix = build_rating_matrix(frags)
+        engine = Recommender(matrix, frags)
+        return engine.recommend_top_k("u0", item_id, method="baseline", side_weight=0.0)
+
     def test_single_restaurant(self):
-        ranked = baseline_recommend(2, self.FRAGS)
-        assert ranked == [("rB", 1)]
+        assert self.ranked(2, self.FRAGS) == [("rB", 1)]
 
     def test_count_ordering(self):
-        ranked = baseline_recommend(1, self.FRAGS)
-        assert ranked == [("rA", 2), ("rB", 1)]
+        assert self.ranked(1, self.FRAGS) == [("rA", 2), ("rB", 1)]
 
     def test_tie_broken_by_restaurant_id(self):
         frags = [frag("u0", "rB", 1, 0.5, 4.0, "x1"), frag("u1", "rA", 1, 0.5, 4.0, "x2")]
-        assert baseline_recommend(1, frags) == [("rA", 1), ("rB", 1)]
+        assert self.ranked(1, frags) == [("rA", 1), ("rB", 1)]
 
     def test_predict_uses_restaurant_share(self):
         # rA: 2 of 3 fragments positive -> 1 + 4*(2/3)

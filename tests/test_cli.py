@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dishrec.cli import main
+from dishrec.cli import SETTINGS, load_config, main
+from dishrec.errors import InputError
 from dishrec.synth import synth_corpus, write_corpus_dir
 
 
@@ -252,3 +255,83 @@ class TestConfigAndDeterminism:
     def test_usage_error_exit_code(self, capsys):
         assert main(["frobnicate"]) == 64
         capsys.readouterr()
+
+
+RECOMMEND = ["recommend", "--corpus", "{corpus}", "--user", "u000", "--item", "pasta"]
+EVALUATE = ["evaluate", "--corpus", "{corpus}", "--methods", "baseline", "--out", "{tmp}/r.json"]
+TRAIN_NB = ["train-sentiment", "--model", "nb", "--corpus", "{corpus}", "--labels", "manual",
+            "--out", "{tmp}/m.json"]
+
+
+# case -> (config file text or None, argv, expected exit code)
+BAD_SETTINGS = {
+    "config-eq1_center-bogus": ("eq1_center = bogus", RECOMMEND, 2),
+    "config-split_round-bogus": ("split_round = bogus", TRAIN_NB, 2),
+    "config-top_k-negative": ("top_k = -1", RECOMMEND, 2),
+    "config-blend_weight-nan": ("blend_weight = nan", RECOMMEND, 2),
+    "config-relevance-inf": ("relevance = inf", EVALUATE, 2),
+    "config-seed-negative": ("seed = -1", RECOMMEND, 2),
+    "flag-top-k-negative": (None, RECOMMEND + ["--top-k", "-1"], 64),
+    "flag-top-k-zero": (None, RECOMMEND + ["--top-k", "0"], 64),
+    "flag-side-weight-nan": (None, RECOMMEND + ["--side-weight", "nan"], 64),
+    "flag-eq1-center-bogus": (None, RECOMMEND + ["--eq1-center", "bogus"], 64),
+    "flag-relevance-nan": (None, EVALUATE + ["--relevance", "nan"], 64),
+    "flag-evaluate-seed-negative": (None, EVALUATE + ["--seed", "-1"], 64),
+    "flag-synth-seed-negative": (None, ["synth", "--seed", "-1", "--users", "3",
+                                        "--restaurants", "2", "--items", "2",
+                                        "--out", "{tmp}/s"], 64),
+    "flag-topics-zero": (None, ["sides", "--corpus", "{corpus}", "--method", "lda",
+                                "--topics", "0", "--out", "{tmp}/t.tsv"], 64),
+    "labels-threshold-outside-set": (None, ["train-sentiment", "--model", "nb",
+                                            "--corpus", "{corpus}", "--labels", "threshold:3.5",
+                                            "--out", "{tmp}/m.json"], 2),
+}
+
+
+class TestBadSettings:
+    """Every bad setting fails with its documented exit code: 64 for a flag,
+    2 for a config-file value; none reaches a traceback (exit 1) or a
+    silently wrong result (exit 0)."""
+
+    @pytest.mark.parametrize("config, argv, code", list(BAD_SETTINGS.values()),
+                             ids=list(BAD_SETTINGS))
+    def test_exit_code(self, corpus_dir, tmp_path, capsys, config, argv, code):
+        argv = [a.format(corpus=corpus_dir, tmp=tmp_path) for a in argv]
+        if config is not None:
+            cfg = tmp_path / "dishrec.cfg"
+            cfg.write_text(config + "\n", encoding="utf-8")
+            argv = ["--config", str(cfg)] + argv
+        assert run(capsys, argv)[0] == code
+
+    def test_non_utf8_reviews_exit_2(self, corpus_dir, tmp_path, capsys):
+        bad = tmp_path / "reviews.jsonl"
+        bad.write_bytes(b"\xff\xfe\n")
+        code, _, err = run(capsys, [
+            "ingest", "--reviews", str(bad),
+            "--restaurants", str(corpus_dir / "restaurants.jsonl"),
+            "--lexicons", str(corpus_dir / "lexicons"), "--out", str(tmp_path / "n.jsonl"),
+        ])
+        assert code == 2
+        assert "UTF-8" in err
+
+
+_config_lines = st.one_of(
+    st.tuples(st.sampled_from(sorted(SETTINGS)),
+              st.sampled_from(["", "1", "-1", "0.5", "nan", "inf", "1e400", "user", "floor",
+                               "nb", "x"]) | st.text(max_size=8)).map(lambda kv: "%s = %s" % kv),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_config_lines, max_size=4))
+def test_load_config_fuzz(tmp_path, lines):
+    """Any config text gives a dict of parsed settings or an InputError."""
+    path = tmp_path / "fuzz.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+    try:
+        config = load_config(path)
+    except InputError:
+        return
+    assert set(config) <= set(SETTINGS)

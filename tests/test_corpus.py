@@ -1,12 +1,17 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dishrec.corpus import (
+    STAR_VALUES,
     LexiconSet,
+    RestaurantProfile,
     ReviewRecord,
     build_vocabulary,
     load_lexicons,
+    load_restaurants,
     load_reviews,
     normalize,
     save_reviews,
@@ -71,6 +76,23 @@ class TestLoadReviews:
         with pytest.raises(MalformedRecord) as exc:
             load_reviews(path)
         assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("stars", ["NaN", "Infinity", "-Infinity", "1e400",
+                                       '"nan"', '"inf"', "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e400", "nan-text", "inf-text", "huge-int"])
+    def test_non_finite_stars_report_line(self, tmp_path, stars):
+        path = tmp_path / "reviews.jsonl"
+        bad = json.dumps(_row(2, stars=0)).replace('"stars": 0', f'"stars": {stars}')
+        path.write_text(json.dumps(_row(1)) + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as exc:
+            load_reviews(path)
+        assert exc.value.line_number == 2
+
+    def test_not_utf8_is_input_error(self, tmp_path):
+        path = tmp_path / "reviews.jsonl"
+        path.write_bytes(json.dumps(_row(1)).encode() + b"\n\xff\xfe\n")
+        with pytest.raises(InputError):
+            load_reviews(path)
 
     def test_roundtrip_identity(self, tmp_path):
         path = _write_reviews(
@@ -161,3 +183,64 @@ def test_review_record_is_frozen():
     r = ReviewRecord("a", "b", "c", 3.0, "text")
     with pytest.raises(AttributeError):
         r.stars = 4.0
+
+
+# Loader fuzzing: any file content gives records or an InputError, never a crash.
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+_stars = st.sampled_from(STAR_VALUES) | st.sampled_from([3.3, 0, "4", "nan", "1e400"]) | _json_values
+_raw_number = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "4.5", "1" + "0" * 400])
+
+
+def _fuzz_lines(fields, required):
+    """A JSON-lines file as a list of lines: either records with the required
+    fields and any of the others, or a mix of those, records with any fields,
+    a raw numeric literal as one field, and arbitrary text or bytes."""
+    needed = {k: v for k, v in fields.items() if k in required}
+    others = {k: v for k, v in fields.items() if k not in required}
+    any_record = st.fixed_dictionaries({}, optional=fields).map(json.dumps)
+    raw = st.tuples(st.sampled_from(sorted(fields)), _raw_number).map(
+        lambda kv: '{"%s": %s}' % kv)
+    record = st.fixed_dictionaries(needed, optional=others).map(json.dumps)
+    text = (record | any_record | raw | st.text(max_size=30)).map(
+        lambda s: s.encode("utf-8", "surrogatepass"))
+    return (st.lists(record.map(str.encode), max_size=3)
+            | st.lists(text | st.binary(max_size=20), max_size=3))
+
+
+_fuzz = settings(max_examples=100, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _load_fuzzed(loader, tmp_path, lines):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        return loader(path)
+    except InputError:
+        return []
+
+
+@_fuzz
+@given(lines=_fuzz_lines({
+    "review_id": st.text(max_size=3) | _json_values, "restaurant_id": st.just("r1"),
+    "user_id": st.just("u1"), "stars": _stars, "text": st.text(max_size=8) | _json_values,
+    "annotated_label": st.sampled_from(["positive", "negative", "unlabeled", "maybe"]),
+}, required=("review_id", "restaurant_id", "user_id", "stars", "text")))
+def test_load_reviews_fuzz(tmp_path, lines):
+    assert all(isinstance(r, ReviewRecord) for r in _load_fuzzed(load_reviews, tmp_path, lines))
+
+
+@_fuzz
+@given(lines=_fuzz_lines({
+    "restaurant_id": st.text(max_size=3) | _json_values, "name": st.text(max_size=5),
+    "cuisines": st.lists(st.text(max_size=4), max_size=2) | _json_values,
+    "zomato_rating": _stars,
+}, required=("restaurant_id", "name", "zomato_rating")))
+def test_load_restaurants_fuzz(tmp_path, lines):
+    profiles = _load_fuzzed(load_restaurants, tmp_path, lines)
+    assert all(isinstance(p, RestaurantProfile) for p in profiles)

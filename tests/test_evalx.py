@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dishrec.corpus import NEGATIVE, POSITIVE, ReviewRecord
+from dishrec.corpus import NEGATIVE, POSITIVE, LexiconSet, ReviewRecord
 from dishrec.errors import InvalidConfig, UndefinedMetric
 from dishrec.evalx import (
-    derive_manual_labels,
-    derive_threshold_labels,
+    _held_out_truth,
     f_score,
     fleiss_kappa,
     format_report_table,
@@ -17,11 +16,19 @@ from dishrec.evalx import (
     run_benchmark,
     train_test_split,
 )
-from dishrec.synth import separable_sequences, synth_corpus
+from dishrec.fragmenter import ItemFragment
+from dishrec.pipeline import fragment_labels_for
+from dishrec.synth import CorpusData, separable_sequences, synth_corpus
 
 
 def review(i, stars, label="unlabeled"):
     return ReviewRecord(f"rev{i}", "r0", "u0", stars, "some text", label)
+
+
+def one_item_corpus(reviews):
+    """The reviews as a corpus, and one fragment about item 0 per review."""
+    fragments = [ItemFragment(r.review_id, 0, ("food",), 0) for r in reviews]
+    return CorpusData(reviews, [], [], LexiconSet()), fragments
 
 
 class TestSplit:
@@ -47,29 +54,32 @@ class TestSplit:
 
 
 class TestThresholdLabels:
+    """Label derivation lives in pipeline.fragment_labels_for."""
+
+    @staticmethod
+    def labels(reviews, mode, threshold=2.5):
+        return fragment_labels_for(*one_item_corpus(reviews), mode, threshold)
+
     def test_boundary_counts_positive(self):
-        (ex,) = derive_threshold_labels([review(1, 2.0)], 2.0)
-        assert ex.label == POSITIVE
-        assert ex.source == "threshold(2.0)"
+        assert self.labels([review(1, 2.0)], "threshold", 2.0) == {("rev1", 0): POSITIVE}
 
     def test_below_threshold_negative(self):
-        (ex,) = derive_threshold_labels([review(1, 1.5)], 2.0)
-        assert ex.label == NEGATIVE
+        assert self.labels([review(1, 1.5)], "threshold", 2.0) == {("rev1", 0): NEGATIVE}
 
     def test_thresholds_disagree_between_bounds(self):
         r = [review(1, 2.5)]
-        assert derive_threshold_labels(r, 2.0)[0].label == POSITIVE
-        assert derive_threshold_labels(r, 3.0)[0].label == NEGATIVE
+        assert self.labels(r, "threshold", 2.0)[("rev1", 0)] == POSITIVE
+        assert self.labels(r, "threshold", 3.0)[("rev1", 0)] == NEGATIVE
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            derive_threshold_labels([review(1, 3.0)], 3.5)
+        with pytest.raises(InvalidConfig):
+            self.labels([review(1, 3.0)], "threshold", 3.5)
 
     def test_manual_labels_skip_unlabeled(self):
-        examples = derive_manual_labels(
-            [review(1, 4.0, POSITIVE), review(2, 2.0), review(3, 1.0, NEGATIVE)]
+        labels = self.labels(
+            [review(1, 4.0, POSITIVE), review(2, 2.0), review(3, 1.0, NEGATIVE)], "manual"
         )
-        assert [e.ref for e in examples] == ["rev1", "rev3"]
+        assert labels == {("rev1", 0): POSITIVE, ("rev3", 0): NEGATIVE}
 
 
 class TestMetrics:
@@ -177,6 +187,16 @@ class TestSynthCorpus:
             assert (0 in seq) == (label > 0)
             assert (1 in seq) == (label < 0)
             assert len(seq) <= 10
+
+
+class TestHeldOutTruth:
+    def test_repeated_mentions_averaged(self):
+        # two visits of u0 to r0, both about item 0, no planted gold rating
+        reviews = [review(1, 4.0, POSITIVE), review(2, 2.0, NEGATIVE)]
+        corpus, fragments = one_item_corpus(reviews)
+        truth = _held_out_truth(corpus, reviews, fragments, blend_weight=0.5)
+        # ratings 4 + 2*0.5 = 5 and 2 - 2*0.5 = 1, averaged as RatingMatrix does
+        assert truth == {("u0", ("r0", 0)): 3.0}
 
 
 class TestBenchmark:

@@ -260,3 +260,23 @@ class TestClassifyFragment:
         model = dt_train(X, y, max_depth=1, min_samples_leaf=1)
         # right leaf: 2 pos / 1 neg -> 2*(2/3) - 1 = 1/3
         assert classify_fragment(["a"], model, vocab) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["nb", "bow-lr", "bow-dt", "lstm"])
+def test_train_sentiment_fits_one_vocabulary(monkeypatch, kind):
+    from dishrec import pipeline, sentiment
+    from dishrec.fragmenter import ItemFragment
+
+    calls = []
+
+    def counting(token_lists, min_count=1):
+        calls.append(min_count)
+        return build_vocabulary(token_lists, min_count)
+
+    monkeypatch.setattr(pipeline, "build_vocabulary", counting)
+    monkeypatch.setattr(sentiment, "build_vocabulary", counting)
+    fragments = [ItemFragment("v1", 0, ("good", "food"), 0), ItemFragment("v2", 0, ("bad",), 0)]
+    labels = {("v1", 0): POSITIVE, ("v2", 0): NEGATIVE}
+    model, vocab = pipeline.train_sentiment(kind, fragments, labels, epochs=1)
+    assert len(calls) == 1
+    assert set(vocab.tokens) == {"good", "food", "bad"}

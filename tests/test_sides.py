@@ -1,6 +1,7 @@
 import pytest
 
-from dishrec.errors import EmptyCorpus, EmptyGraph
+from dishrec import sides
+from dishrec.errors import EmptyCorpus, EmptyGraph, ModularityDecreased, TrainingError
 from dishrec.fragmenter import ItemFragment
 from dishrec.sides import (
     TopicModel,
@@ -153,6 +154,16 @@ class TestLouvain:
     def test_empty_graph_raises(self):
         with pytest.raises(EmptyGraph):
             louvain(WeightedGraph())
+
+    def test_modularity_decrease_raises_training_error(self, monkeypatch):
+        # an explicit raise, not an assert, so `python -O` keeps the check
+        values = iter([0.5, 0.1])
+        monkeypatch.setattr(sides, "modularity", lambda graph, partition: next(values))
+        g = WeightedGraph()
+        k_clique(g, [0, 1, 2])
+        with pytest.raises(ModularityDecreased):
+            louvain(g)
+        assert issubclass(ModularityDecreased, TrainingError)  # CLI exit 3
 
     def test_community_ids_contiguous(self):
         g = WeightedGraph()
