@@ -45,14 +45,20 @@ def _one_of(choices):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _finite_float = _checked(float, math.isfinite, "a finite number")
+_method_list = _checked(
+    lambda text: [m.strip() for m in text.split(",") if m.strip()],
+    lambda methods: methods and set(methods) <= set(evalx.BENCHMARK_METHODS),
+    "a comma-separated list of " + ", ".join(evalx.BENCHMARK_METHODS),
+)
 
 # Every setting a flag or config file can give: key -> (parser, package default).
 SETTINGS = {
-    "seed": (_checked(int, lambda v: v >= 0, "an integer >= 0"), 0),
+    "seed": (_non_negative_int, 0),
     "side_weight": (_finite_float, 0.2),
     "top_k": (_positive_int, 10),
-    "neighbors": (int, 20),
+    "neighbors": (_non_negative_int, 20),  # 0: every rater
     "eq1_center": (_one_of(EQ1_CENTERS), "user"),
     "blend_weight": (_finite_float, 0.5),
     "relevance": (_finite_float, 4.0),
@@ -132,8 +138,8 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", required=True, help="manual or threshold:T")
     p.add_argument("--out", required=True)
     _add_setting(p, "seed")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=_flag_type(_positive_int))
+    p.add_argument("--lr", type=_flag_type(_finite_float))
 
     p = sub.add_parser("recommend", help="rank restaurants for a user and item")
     p.add_argument("--corpus", required=True)
@@ -149,11 +155,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     _add_setting(p, "seed")
     p.add_argument("--topics", type=_flag_type(_positive_int), default=10)
-    p.add_argument("--iterations", type=int, default=500)
+    p.add_argument("--iterations", type=_flag_type(_positive_int), default=500)
 
     p = sub.add_parser("evaluate", help="run the recommender benchmark")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--methods", default="baseline,user,item,fm")
+    p.add_argument("--methods", type=_flag_type(_method_list), default="baseline,user,item,fm")
     _add_setting(p, "seed")
     p.add_argument("--out", required=True)
     for key in ("top_k", "side_weight", "relevance"):
@@ -259,7 +265,7 @@ def cmd_recommend(args, config):
         corpus, seed=seed,
         sentiment_kind=_resolve(args, config, "sentiment"),
         blend_weight=_resolve(args, config, "blend_weight"),
-        n_neighbors=None if neighbors <= 0 else neighbors,  # <= 0: full neighborhood
+        n_neighbors=neighbors or None,
         eq1_center=_resolve(args, config, "eq1_center"),
         with_fm=args.method == "fm",
     )
@@ -315,13 +321,9 @@ def cmd_sides(args, config):
 def cmd_evaluate(args, config):
     corpus = load_corpus_dir(args.corpus)
     seed = _resolve(args, config, "seed")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in evalx.BENCHMARK_METHODS:
-            raise InvalidConfig(f"unknown method {m!r}")
     # method comparison defaults: k=5 and no side-affinity term unless asked
     reports = evalx.run_benchmark(
-        corpus, methods=methods, seed=seed,
+        corpus, methods=args.methods, seed=seed,
         relevance=_resolve(args, config, "relevance"),
         top_k=_resolve(args, config, "top_k", default=5),
         side_weight=_resolve(args, config, "side_weight", default=0.0),

@@ -6,11 +6,19 @@ user and column blocks. The pairwise interaction term is evaluated in the
 linear-time form sum_f [(sum_i v_if x_i)^2 - sum_i v_if^2 x_i^2] / 2, and
 the regularization strengths are themselves adapted each epoch by a
 gradient step on validation error through the next parameter update.
+
+Training keeps the parameters as Python floats (w a list, V a list of
+k-float rows) and runs one scalar kernel per SGD step: ``_forward`` gives
+the prediction and the factor sums, and ``_step`` reuses those sums for the
+gradient. The per-epoch train MSE and lambda gradients are single numpy
+passes over the dataset held as padded index/value arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
+from operator import mul
 
 import numpy as np
 
@@ -95,33 +103,68 @@ def _check_indices(x, n):
             raise FeatureIndexOutOfRange(f"feature index {i} outside 0..{n - 1}")
 
 
-def _factor_sums(x, V):
-    s = np.zeros(V.shape[1])
+def _forward(x, w0, w, V, kdim):
+    """Prediction and factor sums s_f = sum_i v_if x_i of instance x.
+
+    ``w`` and ``V`` map a feature index to its weight and to its factor row,
+    a list of ``kdim`` Python floats.
+    """
+    y = w0
+    sq = 0.0
+    s = [0.0] * kdim
     for i, v in x:
-        s += V[i] * v
-    return s
+        row = V[i]
+        y += w[i] * v
+        sq += sum(map(mul, row, row)) * v * v
+        s = [a + r * v for a, r in zip(s, row)]
+    return y + 0.5 * (sum(map(mul, s, s)) - sq), s
+
+
+def _step(x, y, w0, w, V, lr, lambda_w, lambda_v, kdim):
+    """One squared-error SGD step on the Python-float parameters of
+    ``_forward``; updates ``w`` and ``V`` in place and returns the prediction
+    made before the step and the new w0.
+
+    Every gradient is taken from the pre-update parameters (``rows``). The
+    factor-row update inlines d y / d V_i = x_i (s - V_i x_i), the formula of
+    ``fm_predict_gradients``: building a separate gradient list made training
+    about a fifth slower. Only w0 and the touched rows can change, so only
+    they are checked for finiteness.
+    """
+    rows = [V[i] for i, _ in x]
+    y_hat, s = _forward(x, w0, w, V, kdim)
+    err2 = 2.0 * (y_hat - y)
+    w0 -= lr * err2
+    finite = isfinite(w0)
+    for (i, v), pre in zip(x, rows):
+        w[i] -= lr * (err2 * v + lambda_w * w[i])
+        V[i] = row = [r - lr * (err2 * (v * (a - p * v)) + lambda_v * r)
+                      for a, p, r in zip(s, pre, V[i])]
+        finite = finite and isfinite(w[i]) and all(map(isfinite, row))
+    if not finite:
+        raise DivergenceDetected("non-finite factorization machine parameters")
+    return y_hat, w0
+
+
+def _active(x, model: FMModel):
+    """The weights and factor rows of x's features, keyed by feature index."""
+    _check_indices(x, model.n_features)
+    return {i: float(model.w[i]) for i, _ in x}, {i: model.V[i].tolist() for i, _ in x}
 
 
 def fm_predict(x, model: FMModel) -> float:
     """w0 + <w, x> + pairwise interactions in the linear-time form."""
-    _check_indices(x, model.n_features)
-    y = model.w0
-    sq = 0.0
-    for i, v in x:
-        y += model.w[i] * v
-        sq += float(model.V[i] @ model.V[i]) * v * v
-    s = _factor_sums(x, model.V)
-    y += 0.5 * (float(s @ s) - sq)
-    return float(y)
+    w, V = _active(x, model)
+    return float(_forward(x, model.w0, w, V, model.kdim)[0])
 
 
 def fm_predict_gradients(x, model: FMModel):
-    """d prediction / d (w0, active w_i, active V rows); used by training and
-    by the finite-difference checks."""
-    s = _factor_sums(x, model.V)
-    grad_w = [(i, v) for i, v in x]
-    grad_V = [(i, v * (s - model.V[i] * v)) for i, v in x]
-    return 1.0, grad_w, grad_V
+    """d prediction / d (w0, active w_i, active V rows), from the kernel that
+    training uses; the finite-difference checks test it."""
+    w, V = _active(x, model)
+    _, s = _forward(x, model.w0, w, V, model.kdim)
+    grad_V = [(i, np.array([v * (a - r * v) for a, r in zip(s, V[i])])) for i, v in x]
+    return 1.0, [(i, v) for i, v in x], grad_V
 
 
 def fm_sgd_step(x, y, model: FMModel, lr: float) -> float:
@@ -131,43 +174,50 @@ def fm_sgd_step(x, y, model: FMModel, lr: float) -> float:
     linear weights and factor rows; w0 is unregularized. Returns the
     prediction made before the update.
     """
-    y_hat = fm_predict(x, model)
-    err2 = 2.0 * (y_hat - y)
-    _, grad_w, grad_V = fm_predict_gradients(x, model)
-    model.w0 -= lr * err2
-    for i, g in grad_w:
-        model.w[i] -= lr * (err2 * g + model.lambda_w * model.w[i])
-    for i, g in grad_V:
-        model.V[i] -= lr * (err2 * g + model.lambda_v * model.V[i])
-    if not (np.isfinite(model.w0) and np.isfinite(model.w).all() and np.isfinite(model.V).all()):
-        raise DivergenceDetected("non-finite factorization machine parameters")
+    w, V = _active(x, model)
+    y_hat, model.w0 = _step(x, y, model.w0, w, V, lr, model.lambda_w, model.lambda_v, model.kdim)
+    for i in w:
+        model.w[i] = w[i]
+        model.V[i] = V[i]
     return y_hat
 
 
-def _mse(data, model):
-    if not data:
-        return 0.0
-    return float(np.mean([(fm_predict(x, model) - y) ** 2 for x, y in data]))
+def _as_arrays(data, n_features):
+    """A dataset as padded (index, value) arrays plus targets, every index
+    checked once. Padding is feature 0 with value 0, which adds nothing."""
+    width = max(len(x) for x, _ in data)
+    idx = np.zeros((len(data), width), dtype=np.intp)
+    val = np.zeros((len(data), width))
+    for r, (x, _) in enumerate(data):
+        _check_indices(x, n_features)
+        for c, (i, v) in enumerate(x):
+            idx[r, c] = i
+            val[r, c] = v
+    return idx, val, np.array([y for _, y in data], dtype=float)
 
 
-def _lambda_gradients(val, model, lr):
+def _batch(arrays, w0, w, V):
+    """Prediction errors, <w, x> and sum_i (d y / d V_i) . V_i for a whole
+    dataset; the last equals twice the pairwise term."""
+    idx, val, y = arrays
+    xv = V[idx] * val[..., None]
+    s = xv.sum(axis=1)
+    linear = (w[idx] * val).sum(axis=1)
+    pairwise2 = (s * s).sum(axis=1) - (xv * xv).sum(axis=(1, 2))
+    return w0 + linear + 0.5 * pairwise2 - y, linear, pairwise2
+
+
+def _mse(arrays, w0, w, V):
+    err, _, _ = _batch(arrays, w0, w, V)
+    return float(np.mean(err * err))
+
+
+def _lambda_gradients(arrays, w0, w, V, lr):
     """d validation squared error / d lambda, through the next-step update
     theta' = theta - lr * (loss grad + lambda * theta), i.e.
     d theta' / d lambda = -lr * theta."""
-    g_w = 0.0
-    g_v = 0.0
-    for x, y in val:
-        err2 = 2.0 * (fm_predict(x, model) - y)
-        s = _factor_sums(x, model.V)
-        dw = sum(v * model.w[i] for i, v in x)
-        dv = 0.0
-        for i, v in x:
-            dy_dVi = v * (s - model.V[i] * v)
-            dv += float(dy_dVi @ model.V[i])
-        g_w += err2 * (-lr) * dw
-        g_v += err2 * (-lr) * dv
-    n = max(1, len(val))
-    return g_w / n, g_v / n
+    err, linear, pairwise2 = _batch(arrays, w0, w, V)
+    return float(np.mean(2.0 * err * -lr * linear)), float(np.mean(2.0 * err * -lr * pairwise2))
 
 
 def fm_train(train, validation=None, lr: float = 0.001, epochs: int = 100,
@@ -206,39 +256,31 @@ def fm_train(train, validation=None, lr: float = 0.001, epochs: int = 100,
 
     if n_features is None:
         n_features = 1 + max(i for x, _ in list(train) + validation for i, _ in x)
-    model = FMModel(
-        w0=0.0,
-        w=np.zeros(n_features),
-        V=rng.normal(0.0, 0.01, size=(n_features, kdim)),
-        lambda_w=lambda_init,
-        lambda_v=lambda_init,
-        kdim=kdim,
-    )
+    train_arrays = _as_arrays(train, n_features)
+    val_arrays = _as_arrays(validation, n_features)
+    w0 = 0.0
+    w = [0.0] * n_features
+    V = rng.normal(0.0, 0.01, size=(n_features, kdim)).tolist()
+    lambda_w = lambda_v = lambda_init
     lam_lr = lr if lambda_lr is None else lambda_lr
     train_mse = []
     lambdas = []
 
-    def adapt():
-        g_w, g_v = _lambda_gradients(validation, model, lr)
-        model.lambda_w = float(np.clip(model.lambda_w - lam_lr * g_w, 0.0, lambda_max))
-        model.lambda_v = float(np.clip(model.lambda_v - lam_lr * g_v, 0.0, lambda_max))
-        lambdas.append((model.lambda_w, model.lambda_v))
-
     if iteration_unit == "steps":
-        order = rng.permutation(len(train))
-        for step in range(epochs):
-            x, y = train[order[step % len(train)]]
-            fm_sgd_step(x, y, model, lr)
-        adapt()
-        train_mse.append(_mse(train, model))
+        order = rng.permutation(len(train)).tolist()
+        passes = [[order[step % len(train)] for step in range(epochs)]]
     else:
-        for _ in range(epochs):
-            order = rng.permutation(len(train))
-            for k in order:
-                x, y = train[k]
-                fm_sgd_step(x, y, model, lr)
-            adapt()
-            train_mse.append(_mse(train, model))
+        passes = (rng.permutation(len(train)).tolist() for _ in range(epochs))
+    for visits in passes:
+        for k in visits:
+            x, y = train[k]
+            _, w0 = _step(x, y, w0, w, V, lr, lambda_w, lambda_v, kdim)
+        w_arr, V_arr = np.array(w), np.array(V)
+        g_w, g_v = _lambda_gradients(val_arrays, w0, w_arr, V_arr, lr)
+        lambda_w = float(np.clip(lambda_w - lam_lr * g_w, 0.0, lambda_max))
+        lambda_v = float(np.clip(lambda_v - lam_lr * g_v, 0.0, lambda_max))
+        lambdas.append((lambda_w, lambda_v))
+        train_mse.append(_mse(train_arrays, w0, w_arr, V_arr))
 
-    model.history = {"train_mse": train_mse, "lambdas": lambdas}
-    return model
+    return FMModel(w0, np.array(w), np.array(V), lambda_w, lambda_v, kdim,
+                   history={"train_mse": train_mse, "lambdas": lambdas})

@@ -6,6 +6,11 @@ so that agreement between the two paths is meaningful.
 """
 
 import math
+from types import SimpleNamespace
+
+import numpy as np
+
+from dishrec.errors import DivergenceDetected, FeatureIndexOutOfRange, InvalidConfig
 
 
 def user_neighborhood_reference(ratings, user_means, sims, k, m, n_neighbors=None, center="user",
@@ -146,3 +151,137 @@ def lstm_reference_score(indices, params):
 def central_difference(f, x0, step):
     """Scalar central finite difference of f at x0."""
     return (f(x0 + step) - f(x0 - step)) / (2.0 * step)
+
+
+# ---------------------------------------------------------------------------
+# Factorization machine trainer, numpy per step: the implementation the fused
+# scalar kernel in dishrec.fm replaced. Per SGD step it recomputes the factor
+# sums for the prediction and again for the gradient, checks every index and
+# checks the whole w and V for finiteness; the per-epoch MSE and lambda
+# gradients loop over instances one at a time.
+
+def _ref_check_indices(x, n):
+    for i, _ in x:
+        if not 0 <= i < n:
+            raise FeatureIndexOutOfRange(f"feature index {i} outside 0..{n - 1}")
+
+
+def _ref_factor_sums(x, V):
+    s = np.zeros(V.shape[1])
+    for i, v in x:
+        s += V[i] * v
+    return s
+
+
+def _ref_predict(x, model):
+    _ref_check_indices(x, len(model.w))
+    y = model.w0
+    sq = 0.0
+    for i, v in x:
+        y += model.w[i] * v
+        sq += float(model.V[i] @ model.V[i]) * v * v
+    s = _ref_factor_sums(x, model.V)
+    y += 0.5 * (float(s @ s) - sq)
+    return float(y)
+
+
+def fm_sgd_step_reference(x, y, model, lr):
+    """One SGD step on a model with numpy w and V, updated in place."""
+    y_hat = _ref_predict(x, model)
+    err2 = 2.0 * (y_hat - y)
+    s = _ref_factor_sums(x, model.V)
+    grad_w = [(i, v) for i, v in x]
+    grad_V = [(i, v * (s - model.V[i] * v)) for i, v in x]
+    model.w0 -= lr * err2
+    for i, g in grad_w:
+        model.w[i] -= lr * (err2 * g + model.lambda_w * model.w[i])
+    for i, g in grad_V:
+        model.V[i] -= lr * (err2 * g + model.lambda_v * model.V[i])
+    if not (np.isfinite(model.w0) and np.isfinite(model.w).all() and np.isfinite(model.V).all()):
+        raise DivergenceDetected("non-finite factorization machine parameters")
+    return y_hat
+
+
+def _ref_mse(data, model):
+    if not data:
+        return 0.0
+    return float(np.mean([(_ref_predict(x, model) - y) ** 2 for x, y in data]))
+
+
+def _ref_lambda_gradients(val, model, lr):
+    g_w = 0.0
+    g_v = 0.0
+    for x, y in val:
+        err2 = 2.0 * (_ref_predict(x, model) - y)
+        s = _ref_factor_sums(x, model.V)
+        dw = sum(v * model.w[i] for i, v in x)
+        dv = 0.0
+        for i, v in x:
+            dy_dVi = v * (s - model.V[i] * v)
+            dv += float(dy_dVi @ model.V[i])
+        g_w += err2 * (-lr) * dw
+        g_v += err2 * (-lr) * dv
+    n = max(1, len(val))
+    return g_w / n, g_v / n
+
+
+def fm_train_reference(train, validation=None, lr=0.001, epochs=100, kdim=8, seed=0,
+                       n_features=None, lambda_init=0.01, lambda_max=10.0,
+                       lambda_lr=None, iteration_unit="epochs"):
+    """Same arguments and seeding as ``dishrec.fm.fm_train``; returns a
+    namespace with w0, w, V, lambda_w, lambda_v, kdim and history."""
+    if not train:
+        raise InvalidConfig("empty training set")
+    if iteration_unit not in ("epochs", "steps"):
+        raise InvalidConfig(f"bad iteration_unit {iteration_unit!r}")
+    rng = np.random.default_rng(seed)
+    train = list(train)
+    if validation is None:
+        if len(train) < 2:
+            raise InvalidConfig("need at least 2 instances to carve a validation split")
+        order = rng.permutation(len(train))
+        n_val = max(1, int(round(0.1 * len(train))))
+        validation = [train[i] for i in order[:n_val]]
+        train = [train[i] for i in order[n_val:]]
+    validation = list(validation)
+    if not validation:
+        raise InvalidConfig("validation set must be non-empty")
+
+    if n_features is None:
+        n_features = 1 + max(i for x, _ in list(train) + validation for i, _ in x)
+    model = SimpleNamespace(
+        w0=0.0,
+        w=np.zeros(n_features),
+        V=rng.normal(0.0, 0.01, size=(n_features, kdim)),
+        lambda_w=lambda_init,
+        lambda_v=lambda_init,
+        kdim=kdim,
+    )
+    lam_lr = lr if lambda_lr is None else lambda_lr
+    train_mse = []
+    lambdas = []
+
+    def adapt():
+        g_w, g_v = _ref_lambda_gradients(validation, model, lr)
+        model.lambda_w = float(np.clip(model.lambda_w - lam_lr * g_w, 0.0, lambda_max))
+        model.lambda_v = float(np.clip(model.lambda_v - lam_lr * g_v, 0.0, lambda_max))
+        lambdas.append((model.lambda_w, model.lambda_v))
+
+    if iteration_unit == "steps":
+        order = rng.permutation(len(train))
+        for step in range(epochs):
+            x, y = train[order[step % len(train)]]
+            fm_sgd_step_reference(x, y, model, lr)
+        adapt()
+        train_mse.append(_ref_mse(train, model))
+    else:
+        for _ in range(epochs):
+            order = rng.permutation(len(train))
+            for k in order:
+                x, y = train[k]
+                fm_sgd_step_reference(x, y, model, lr)
+            adapt()
+            train_mse.append(_ref_mse(train, model))
+
+    model.history = {"train_mse": train_mse, "lambdas": lambdas}
+    return model

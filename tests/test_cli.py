@@ -175,6 +175,14 @@ class TestRecommend:
         ])
         assert out_zero == out_again
 
+    def test_neighbors_zero_uses_every_rater(self, corpus_dir, capsys):
+        base = ["recommend", "--corpus", str(corpus_dir), "--user", "u000",
+                "--item", "pasta", "--method", "user", "--neighbors"]
+        code, out_zero, _ = run(capsys, base + ["0"])
+        assert code == 0
+        assert run(capsys, base + ["1000"]) == (0, out_zero, "")
+        assert run(capsys, base + ["1"])[1] != out_zero
+
 
 class TestSidesAndEvaluate:
     def test_louvain_export(self, corpus_dir, tmp_path, capsys):
@@ -282,6 +290,19 @@ BAD_SETTINGS = {
                                         "--out", "{tmp}/s"], 64),
     "flag-topics-zero": (None, ["sides", "--corpus", "{corpus}", "--method", "lda",
                                 "--topics", "0", "--out", "{tmp}/t.tsv"], 64),
+    "config-neighbors-negative": ("neighbors = -1", RECOMMEND, 2),
+    "flag-neighbors-negative": (None, RECOMMEND + ["--method", "user", "--neighbors", "-1"], 64),
+    "flag-lr-nan": (None, ["train-sentiment", "--model", "bow-lr", "--corpus", "{corpus}",
+                           "--labels", "manual", "--lr", "nan", "--out", "{tmp}/m.json"], 64),
+    "flag-epochs-negative": (None, ["train-sentiment", "--model", "lstm", "--corpus", "{corpus}",
+                                    "--labels", "manual", "--epochs", "-1",
+                                    "--out", "{tmp}/m.json"], 64),
+    "flag-iterations-negative": (None, ["sides", "--corpus", "{corpus}", "--method", "lda",
+                                        "--iterations", "-5", "--out", "{tmp}/t.tsv"], 64),
+    "flag-methods-empty": (None, EVALUATE[:3] + ["--methods", "", "--out", "{tmp}/r.json"], 64),
+    "flag-methods-blank": (None, EVALUATE[:3] + ["--methods", " , ", "--out", "{tmp}/r.json"], 64),
+    "flag-methods-unknown": (None, EVALUATE[:3] + ["--methods", "baseline,svd",
+                                                  "--out", "{tmp}/r.json"], 64),
     "labels-threshold-outside-set": (None, ["train-sentiment", "--model", "nb",
                                             "--corpus", "{corpus}", "--labels", "threshold:3.5",
                                             "--out", "{tmp}/m.json"], 2),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dishrec.errors import FeatureIndexOutOfRange, InvalidConfig
+from dishrec.errors import DivergenceDetected, FeatureIndexOutOfRange, InvalidConfig
 from dishrec.fm import (
     FMModel,
     FeatureMap,
@@ -12,7 +12,7 @@ from dishrec.fm import (
     fm_train,
 )
 
-from oracles import fm_naive
+from oracles import fm_naive, fm_sgd_step_reference, fm_train_reference
 
 
 def random_model(rng, n, kdim, scale=1.0):
@@ -192,10 +192,18 @@ class TestTraining:
     def test_divergence_raises(self):
         rng = np.random.default_rng(10)
         _, data = planted_dataset(rng, n=6, n_samples=30)
-        from dishrec.errors import DivergenceDetected
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceDetected):
                 fm_train(data, lr=1e6, epochs=50, kdim=2, seed=0, n_features=6)
+
+    def test_out_of_range_index_rejected_in_train_or_validation(self):
+        rng = np.random.default_rng(11)
+        _, data = planted_dataset(rng, n=6, n_samples=20)
+        for bad in ([(6, 1.0)], [(-1, 1.0), (2, 1.0)]):
+            with pytest.raises(FeatureIndexOutOfRange):
+                fm_train(data[:10] + [(bad, 1.0)], data[10:], epochs=1, kdim=2, n_features=6)
+            with pytest.raises(FeatureIndexOutOfRange):
+                fm_train(data[:10], data[10:] + [(bad, 1.0)], epochs=1, kdim=2, n_features=6)
 
     def test_empty_train_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -230,3 +238,108 @@ class TestFeatureMap:
         (x0, y0) = data[0]
         assert y0 == 4.0
         assert all(v == 1.0 for _, v in x0)
+
+
+def _synth_fm_dataset(item_community=False):
+    """The FM dataset of the 100-user synthetic corpus, optionally with the
+    side-community indicator (three features per instance)."""
+    from dishrec.pipeline import build_recommender
+    from dishrec.synth import synth_corpus
+
+    engine = build_recommender(synth_corpus(1, 100, 20, 24), seed=1, with_fm=False)
+    data, fmap = build_fm_dataset(engine.matrix,
+                                  item_community=engine.partition if item_community else None)
+    return data, fmap.n_features
+
+
+def _reference_case(name):
+    rng = np.random.default_rng(31)
+    if name == "synth":
+        data, n = _synth_fm_dataset()
+        return data, None, dict(lr=0.05, epochs=4, kdim=8, seed=1, n_features=n)
+    if name == "synth-community":
+        data, n = _synth_fm_dataset(item_community=True)
+        assert {len(x) for x, _ in data} == {3}
+        return data, None, dict(lr=0.05, epochs=4, kdim=8, seed=2, n_features=n)
+    if name == "planted":
+        _, data = planted_dataset(rng, n=30, kdim=2, n_samples=400)
+        return data[:320], None, dict(lr=0.05, epochs=30, kdim=2, seed=404, n_features=30)
+    if name == "planted-low-lr":
+        _, data = planted_dataset(rng, n=20, n_samples=200)
+        return data, None, dict(lr=0.001, epochs=30, kdim=2, seed=2, n_features=20)
+    if name == "non-binary":
+        data = [(random_instance(rng, 12), float(rng.normal())) for _ in range(80)]
+        data.insert(0, ([(3, 0.5), (3, -1.5), (7, 2.0)], 1.0))  # a repeated index
+        return data[:60], data[60:], dict(lr=0.02, epochs=20, kdim=3, seed=5, lambda_lr=0.5)
+    if name == "steps":
+        _, data = planted_dataset(rng, n=8, n_samples=40)
+        return data, None, dict(lr=0.01, epochs=95, kdim=2, seed=1, n_features=8,
+                                iteration_unit="steps")
+    raise AssertionError(name)
+
+
+class TestReferenceEquivalence:
+    """fm_train against the numpy-per-step trainer it replaced. Each update is
+    the same elementwise arithmetic; the sums |V_i|^2 and s.s run in another
+    order, and the per-epoch passes are numpy reductions that use
+    sum_i (dy/dV_i).V_i = 2 * pairwise term. So parameters, lambda
+    trajectories and train MSE agree within 1e-12 absolute, not bit for bit."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("name", ["synth", "synth-community", "planted", "planted-low-lr",
+                                      "non-binary", "steps"])
+    def test_matches_reference_trainer(self, name):
+        train, validation, kwargs = _reference_case(name)
+        got = fm_train(train, validation, **kwargs)
+        want = fm_train_reference(train, validation, **kwargs)
+        assert abs(got.w0 - want.w0) <= self.TOL
+        assert np.abs(got.w - want.w).max() <= self.TOL
+        assert np.abs(got.V - want.V).max() <= self.TOL
+        assert (got.lambda_w, got.lambda_v) == got.history["lambdas"][-1]
+        for key in ("lambdas", "train_mse"):
+            a, b = np.array(got.history[key]), np.array(want.history[key])
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= self.TOL
+
+    def test_sgd_step_matches_reference_step(self):
+        rng = np.random.default_rng(41)
+        for case in range(30):
+            n, kdim = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            got = random_model(rng, n, kdim, scale=0.7)
+            want = FMModel(got.w0, got.w.copy(), got.V.copy(), 0.3, 0.2, kdim)
+            got.lambda_w, got.lambda_v = 0.3, 0.2
+            x = random_instance(rng, n)
+            if case % 5 == 0:
+                x = x + x[:1]  # a repeated index
+            y = float(rng.normal())
+            y_hat = fm_sgd_step(x, y, got, 0.05)
+            assert abs(y_hat - fm_sgd_step_reference(x, y, want, 0.05)) <= self.TOL
+            assert abs(got.w0 - want.w0) <= self.TOL
+            assert np.abs(got.w - want.w).max() <= self.TOL
+            assert np.abs(got.V - want.V).max() <= self.TOL
+
+    def test_divergence_at_the_same_epoch_and_step(self):
+        rng = np.random.default_rng(10)
+        _, data = planted_dataset(rng, n=6, n_samples=30)
+
+        def outcome(train_fn, epochs, unit):
+            """Where the end-of-run train MSE overflows, the reference's
+            Python-float square raises OverflowError; the numpy pass gives
+            inf or nan. Both count as "overflow"."""
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    model = train_fn(data, lr=1e6, epochs=epochs, kdim=2, seed=0,
+                                     n_features=6, iteration_unit=unit)
+            except DivergenceDetected:
+                return "diverged"
+            except OverflowError:
+                return "overflow"
+            mse = model.history["train_mse"]
+            return "overflow" if mse and not np.isfinite(mse[-1]) else "finite"
+
+        for unit, horizon in (("epochs", 4), ("steps", 30)):
+            got = [outcome(fm_train, e, unit) for e in range(horizon)]
+            want = [outcome(fm_train_reference, e, unit) for e in range(horizon)]
+            assert got == want
+            assert got[0] == "finite" and got[-1] == "diverged"
