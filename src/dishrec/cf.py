@@ -42,6 +42,13 @@ class ScoredFragment:
 
 @dataclass
 class RatingMatrix:
+    """Users x (restaurant, item) columns of ratings in [1, 5].
+
+    Read-only after construction: the per-user and per-column means, the
+    global mean and the item -> columns index are built once, in
+    ``__post_init__``, and would go stale if ``ratings`` or ``mask`` changed.
+    """
+
     user_ids: list[str]
     columns: list[tuple[str, int]]  # (restaurant_id, item_id)
     ratings: np.ndarray             # zeros where missing
@@ -50,6 +57,19 @@ class RatingMatrix:
     def __post_init__(self):
         self.user_index = {u: i for i, u in enumerate(self.user_ids)}
         self.column_index = {c: j for j, c in enumerate(self.columns)}
+        self.item_columns: dict[int, list[int]] = {}
+        for j, (_, item_id) in enumerate(self.columns):
+            self.item_columns.setdefault(item_id, []).append(j)
+        # 3.0, the midpoint of the rating scale, when nothing is rated
+        self._global_mean = float(self.ratings[self.mask].mean()) if self.mask.any() else 3.0
+        self.user_means = np.array([
+            float(self.ratings[u, row].mean()) if row.any() else self._global_mean
+            for u, row in enumerate(self.mask)
+        ])
+        self.column_means = np.array([
+            float(self.ratings[col, j].mean()) if col.any() else self._global_mean
+            for j, col in enumerate(self.mask.T)
+        ])
 
     @property
     def n_users(self):
@@ -60,24 +80,16 @@ class RatingMatrix:
         return len(self.columns)
 
     def user_mean(self, u: int) -> float:
-        row = self.mask[u]
-        if not row.any():
-            return self.global_mean()
-        return float(self.ratings[u, row].mean())
+        return float(self.user_means[u])
 
     def column_mean(self, j: int) -> float:
-        col = self.mask[:, j]
-        if not col.any():
-            return self.global_mean()
-        return float(self.ratings[col, j].mean())
+        return float(self.column_means[j])
 
     def global_mean(self) -> float:
-        if not self.mask.any():
-            return 3.0  # midpoint of the rating scale
-        return float(self.ratings[self.mask].mean())
+        return self._global_mean
 
     def columns_for_item(self, item_id: int) -> list[int]:
-        return [j for j, (_, iid) in enumerate(self.columns) if iid == item_id]
+        return list(self.item_columns.get(item_id, ()))
 
     @classmethod
     def from_entries(cls, entries) -> "RatingMatrix":
@@ -165,11 +177,10 @@ def column_similarity(matrix: RatingMatrix) -> np.ndarray:
 
 
 def _top_neighbors(sims, candidates, n_neighbors):
-    """Candidates ordered by |sim| descending, index ascending; truncated to N."""
-    ordered = sorted(candidates, key=lambda a: (-abs(sims[a]), a))
-    if n_neighbors is not None:
-        ordered = ordered[:n_neighbors]
-    return ordered
+    """Candidate indices ordered by |sim| descending, index ascending;
+    truncated to N."""
+    order = np.lexsort((candidates, -np.abs(sims[candidates])))
+    return candidates[order[:n_neighbors]]
 
 
 def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarray,
@@ -180,7 +191,8 @@ def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarr
     x_hat = mean(k) + sum_a sim(k,a) * (x_{a,m} - center_a) / sum_a |sim(k,a)|
     over the N most similar users who rated the column. ``center`` selects
     the deviation baseline: "user" subtracts each neighbor's own mean,
-    "item" subtracts the column mean.
+    "item" subtracts the column mean. The sums run in neighbor order, one
+    term at a time.
     """
     if center not in EQ1_CENTERS:
         raise ValueError(f"center must be one of {EQ1_CENTERS}")
@@ -193,17 +205,20 @@ def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarr
     if not matrix.mask[k].any():
         return matrix.global_mean()
     base = matrix.user_mean(k)
-    raters = [a for a in range(matrix.n_users) if a != k and matrix.mask[a, m]]
-    neighbors = _top_neighbors(user_sims[k], raters, n_neighbors)
-    denom = sum(abs(user_sims[k, a]) for a in neighbors)
+    raters = np.flatnonzero(matrix.mask[:, m])
+    neighbors = _top_neighbors(user_sims[k], raters[raters != k], n_neighbors)
+    sims = user_sims[k, neighbors].tolist()
+    denom = sum(abs(s) for s in sims)
     if denom == 0.0:
         pred = base
     else:
-        col_mean = matrix.column_mean(m) if center == "item" else None
+        if center == "user":
+            centers = matrix.user_means[neighbors].tolist()
+        else:
+            centers = [matrix.column_mean(m)] * len(sims)
         num = 0.0
-        for a in neighbors:
-            center_a = matrix.user_mean(a) if center == "user" else col_mean
-            num += user_sims[k, a] * (matrix.ratings[a, m] - center_a)
+        for s, r, c in zip(sims, matrix.ratings[neighbors, m].tolist(), centers):
+            num += s * (r - c)
         pred = base + num / denom
     return float(min(5.0, max(1.0, pred))) if clamp else float(pred)
 
@@ -211,20 +226,21 @@ def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarr
 def predict_item_item(user_id, column, matrix: RatingMatrix, column_sims: np.ndarray,
                       n_neighbors: int | None = 20, clamp: bool = True) -> float:
     """Item-neighborhood prediction: similarity-weighted mean of the user's
-    own ratings over the N most similar columns."""
+    own ratings over the N most similar columns, summed in neighbor order."""
     k = matrix.user_index.get(user_id)
     if k is None:
         raise UnknownUser(user_id)
     m = matrix.column_index.get(column)
     if m is None:
         raise UnknownColumn(str(column))
-    rated = [b for b in range(matrix.n_columns) if b != m and matrix.mask[k, b]]
-    neighbors = _top_neighbors(column_sims[m], rated, n_neighbors)
-    denom = sum(abs(column_sims[m, b]) for b in neighbors)
+    rated = np.flatnonzero(matrix.mask[k])
+    neighbors = _top_neighbors(column_sims[m], rated[rated != m], n_neighbors)
+    sims = column_sims[m, neighbors].tolist()
+    denom = sum(abs(s) for s in sims)
     if denom == 0.0:
-        pred = matrix.user_mean(k) if matrix.mask[k].any() else matrix.global_mean()
+        pred = matrix.user_mean(k)
     else:
-        num = sum(column_sims[m, b] * matrix.ratings[k, b] for b in neighbors)
+        num = sum(s * r for s, r in zip(sims, matrix.ratings[k, neighbors].tolist()))
         pred = num / denom
     return float(min(5.0, max(1.0, pred))) if clamp else float(pred)
 
@@ -283,6 +299,14 @@ class Recommender:
         self._positive = {
             (f.restaurant_id, f.item_id) for f in self.scored_fragments if f.score > 0.0
         }
+        self._item_fragments = defaultdict(list)
+        self._restaurant_fragments = defaultdict(list)
+        for f in self.scored_fragments:
+            self._item_fragments[f.item_id].append(f)
+            self._restaurant_fragments[f.restaurant_id].append(f)
+        self._community_items = defaultdict(list)
+        for item_id, community in self.partition.items():
+            self._community_items[community].append(item_id)
 
     def predict(self, user_id, column, method: str) -> float:
         if method == "user":
@@ -299,7 +323,7 @@ class Recommender:
             x = self.fm_features.encode(user_id, column)
             return float(min(5.0, max(1.0, fm_predict(x, self.fm_model))))
         if method == "baseline":
-            return baseline_predict(column, self.scored_fragments,
+            return baseline_predict(column, self._restaurant_fragments.get(column[0], ()),
                                     fallback=self.matrix.global_mean())
         raise ValueError(f"unknown method {method!r}")
 
@@ -309,7 +333,7 @@ class Recommender:
         community = self.partition.get(item_id)
         if community is None:
             return 0.0
-        members = [i for i, c in self.partition.items() if c == community and i != item_id]
+        members = [i for i in self._community_items[community] if i != item_id]
         if not members:
             return 0.0
         hits = sum(1 for i in members if (restaurant_id, i) in self._positive)
@@ -323,7 +347,7 @@ class Recommender:
         if not cols:
             raise UnknownItem(str(item_id))
         if method == "baseline":
-            counts = positive_counts(item_id, self.scored_fragments)
+            counts = positive_counts(item_id, self._item_fragments.get(item_id, ()))
             scored = [
                 (rid, count + side_weight * self.side_score(item_id, rid))
                 for rid, count in counts.items()

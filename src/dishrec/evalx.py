@@ -205,30 +205,27 @@ def run_benchmark(corpus: CorpusData, methods=BENCHMARK_METHODS, seed: int = 0,
         if user_id in matrix.user_index and column in matrix.column_index
     )
 
+    golds = [truth[pair] for pair in pairs]
+    gold_cls = [POSITIVE if g >= relevance else NEGATIVE for g in golds]
+    # (user, item) query -> {column: gold} of its held-out pairs
+    held = {}
+    for user_id, column in pairs:
+        held.setdefault((user_id, column[1]), {})[column] = truth[(user_id, column)]
+
     reports = []
     for method in methods:
         preds = [engine.predict(user_id, column, method) for user_id, column in pairs]
-        golds = [truth[(user_id, column)] for user_id, column in pairs]
-
         pred_cls = [POSITIVE if p >= relevance else NEGATIVE for p in preds]
-        gold_cls = [POSITIVE if g >= relevance else NEGATIVE for g in golds]
         tp, fp, fn, tn = confusion(pred_cls, gold_cls)
 
-        queries = sorted({(user_id, column[1]) for user_id, column in pairs})
         recommended = {}
-        held = {}
-        for user_id, item_id in queries:
+        for user_id, item_id in sorted(held):
             try:
                 ranked = engine.recommend_top_k(user_id, item_id, method=method,
                                                 k=top_k, side_weight=side_weight)
             except QueryError:
                 continue
             recommended[(user_id, item_id)] = [(rid, item_id) for rid, _ in ranked]
-            held[(user_id, item_id)] = {
-                column: truth[(user_id, column)]
-                for (u, column) in pairs
-                if u == user_id and column[1] == item_id
-            }
         try:
             prec = precision_at_k(recommended, held, relevance)
         except UndefinedMetric:

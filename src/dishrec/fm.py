@@ -89,11 +89,10 @@ def build_fm_dataset(matrix, feature_map: FeatureMap | None = None, item_communi
     deterministic (user, column) order. Passing item_community switches the
     side-community indicator feature on (off by default)."""
     fmap = feature_map or FeatureMap.from_matrix(matrix, item_community)
-    data = []
-    for u, user_id in enumerate(matrix.user_ids):
-        for j, column in enumerate(matrix.columns):
-            if matrix.mask[u, j]:
-                data.append((fmap.encode(user_id, column), float(matrix.ratings[u, j])))
+    data = [
+        (fmap.encode(matrix.user_ids[u], matrix.columns[j]), float(matrix.ratings[u, j]))
+        for u, j in np.argwhere(matrix.mask).tolist()
+    ]
     return data, fmap
 
 
@@ -235,7 +234,8 @@ def fm_train(train, validation=None, lr: float = 0.001, epochs: int = 100,
     single-instance SGD steps (one lambda update at the end).
 
     The returned model carries a ``history`` dict with per-epoch train MSE
-    and the lambda trajectory.
+    and the lambda trajectory. A non-finite parameter after a step, or a
+    non-finite train MSE after an epoch, raises DivergenceDetected.
     """
     if not train:
         raise InvalidConfig("empty training set")
@@ -280,7 +280,11 @@ def fm_train(train, validation=None, lr: float = 0.001, epochs: int = 100,
         lambda_w = float(np.clip(lambda_w - lam_lr * g_w, 0.0, lambda_max))
         lambda_v = float(np.clip(lambda_v - lam_lr * g_v, 0.0, lambda_max))
         lambdas.append((lambda_w, lambda_v))
-        train_mse.append(_mse(train_arrays, w0, w_arr, V_arr))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mse = _mse(train_arrays, w0, w_arr, V_arr)
+        if not isfinite(mse):
+            raise DivergenceDetected("non-finite train MSE")
+        train_mse.append(mse)
 
     return FMModel(w0, np.array(w), np.array(V), lambda_w, lambda_v, kdim,
                    history={"train_mse": train_mse, "lambdas": lambdas})

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import NEGATIVE, POSITIVE, Vocabulary, build_vocabulary
-from .errors import SingleClassCorpus
+from .errors import DivergenceDetected, SingleClassCorpus
 
 
 def bow_vectorize(tokens, vocab: Vocabulary) -> np.ndarray:
@@ -121,21 +121,33 @@ def lr_loss_and_grad(X, y01, weights, bias, l2):
     return float(loss), grad_w, grad_b
 
 
+def _require_finite(loss, weights, bias):
+    if not (math.isfinite(loss) and math.isfinite(bias) and np.isfinite(weights).all()):
+        raise DivergenceDetected("non-finite logistic regression loss or parameters")
+
+
 def lr_train(X, labels, l2: float = 1e-3, lr: float = 0.1, epochs: int = 500) -> LRModel:
-    """Full-batch gradient descent from zero initialization."""
+    """Full-batch gradient descent from zero initialization.
+
+    Raises DivergenceDetected once the loss or a parameter is not finite;
+    the overflow that causes it is reported that way, not as warnings.
+    """
     _require_both_classes(labels)
     X = np.asarray(X, dtype=np.float64)
     y01 = np.array([1.0 if lab == POSITIVE else 0.0 for lab in labels])
     w = np.zeros(X.shape[1])
     b = 0.0
     history = []
-    for _ in range(epochs):
-        loss, gw, gb = lr_loss_and_grad(X, y01, w, b, l2)
-        history.append(loss)
-        w = w - lr * gw
-        b = b - lr * gb
-    final_loss, _, _ = lr_loss_and_grad(X, y01, w, b, l2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            loss, gw, gb = lr_loss_and_grad(X, y01, w, b, l2)
+            history.append(loss)
+            w = w - lr * gw
+            b = b - lr * gb
+            _require_finite(loss, w, b)
+        final_loss, _, _ = lr_loss_and_grad(X, y01, w, b, l2)
     history.append(final_loss)
+    _require_finite(final_loss, w, b)
     return LRModel(w, b, l2, history)
 
 

@@ -10,7 +10,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dishrec.errors import DivergenceDetected, FeatureIndexOutOfRange, InvalidConfig
+from dishrec import evalx, pipeline
+from dishrec.errors import (
+    DivergenceDetected,
+    FeatureIndexOutOfRange,
+    InvalidConfig,
+    QueryError,
+    UndefinedMetric,
+    UnknownColumn,
+    UnknownItem,
+    UnknownUser,
+)
 
 
 def user_neighborhood_reference(ratings, user_means, sims, k, m, n_neighbors=None, center="user",
@@ -285,3 +295,200 @@ def fm_train_reference(train, validation=None, lr=0.001, epochs=100, kdim=8, see
 
     model.history = {"train_mse": train_mse, "lambdas": lambdas}
     return model
+
+
+# ---------------------------------------------------------------------------
+# CF queries by scanning: the implementation the index-backed queries in
+# dishrec.cf and dishrec.evalx replaced. Every mean is recomputed on each
+# call; raters, rated columns and an item's columns are found by looping over
+# every user or column; the baseline, positive counts and side scores rescan
+# every fragment or the whole partition; and run_benchmark gathers each
+# query's held-out pairs by scanning every pair.
+
+def _ref_global_mean(matrix):
+    if not matrix.mask.any():
+        return 3.0
+    return float(matrix.ratings[matrix.mask].mean())
+
+
+def _ref_user_mean(matrix, u):
+    row = matrix.mask[u]
+    if not row.any():
+        return _ref_global_mean(matrix)
+    return float(matrix.ratings[u, row].mean())
+
+
+def _ref_column_mean(matrix, j):
+    col = matrix.mask[:, j]
+    if not col.any():
+        return _ref_global_mean(matrix)
+    return float(matrix.ratings[col, j].mean())
+
+
+def columns_for_item_reference(matrix, item_id):
+    return [j for j, (_, iid) in enumerate(matrix.columns) if iid == item_id]
+
+
+def _ref_top_neighbors(sims, candidates, n_neighbors):
+    ordered = sorted(candidates, key=lambda a: (-abs(sims[a]), a))
+    if n_neighbors is not None:
+        ordered = ordered[:n_neighbors]
+    return ordered
+
+
+def _ref_index(matrix, user_id, column):
+    k = matrix.user_index.get(user_id)
+    if k is None:
+        raise UnknownUser(user_id)
+    m = matrix.column_index.get(column)
+    if m is None:
+        raise UnknownColumn(str(column))
+    return k, m
+
+
+def predict_user_item_reference(user_id, column, matrix, user_sims, n_neighbors=20,
+                                center="user", clamp=True):
+    k, m = _ref_index(matrix, user_id, column)
+    if not matrix.mask[k].any():
+        return _ref_global_mean(matrix)
+    base = _ref_user_mean(matrix, k)
+    raters = [a for a in range(matrix.n_users) if a != k and matrix.mask[a, m]]
+    neighbors = _ref_top_neighbors(user_sims[k], raters, n_neighbors)
+    denom = sum(abs(user_sims[k, a]) for a in neighbors)
+    if denom == 0.0:
+        pred = base
+    else:
+        col_mean = _ref_column_mean(matrix, m) if center == "item" else None
+        num = 0.0
+        for a in neighbors:
+            center_a = _ref_user_mean(matrix, a) if center == "user" else col_mean
+            num += user_sims[k, a] * (matrix.ratings[a, m] - center_a)
+        pred = base + num / denom
+    return float(min(5.0, max(1.0, pred))) if clamp else float(pred)
+
+
+def predict_item_item_reference(user_id, column, matrix, column_sims, n_neighbors=20,
+                                clamp=True):
+    k, m = _ref_index(matrix, user_id, column)
+    rated = [b for b in range(matrix.n_columns) if b != m and matrix.mask[k, b]]
+    neighbors = _ref_top_neighbors(column_sims[m], rated, n_neighbors)
+    denom = sum(abs(column_sims[m, b]) for b in neighbors)
+    if denom == 0.0:
+        pred = _ref_user_mean(matrix, k) if matrix.mask[k].any() else _ref_global_mean(matrix)
+    else:
+        num = sum(column_sims[m, b] * matrix.ratings[k, b] for b in neighbors)
+        pred = num / denom
+    return float(min(5.0, max(1.0, pred))) if clamp else float(pred)
+
+
+def _ref_positive_counts(item_id, scored_fragments):
+    counts = {}
+    for f in scored_fragments:
+        if f.item_id != item_id:
+            continue
+        counts.setdefault(f.restaurant_id, 0)
+        if f.score > 0.0:
+            counts[f.restaurant_id] += 1
+    return counts
+
+
+def _ref_baseline_predict(column, scored_fragments, fallback):
+    restaurant_id, _ = column
+    total = 0
+    pos = 0
+    for f in scored_fragments:
+        if f.restaurant_id == restaurant_id:
+            total += 1
+            if f.score > 0.0:
+                pos += 1
+    if total == 0:
+        return fallback
+    return 1.0 + 4.0 * pos / total
+
+
+def _ref_side_score(engine, item_id, restaurant_id):
+    community = engine.partition.get(item_id)
+    if community is None:
+        return 0.0
+    members = [i for i, c in engine.partition.items() if c == community and i != item_id]
+    if not members:
+        return 0.0
+    hits = sum(1 for i in members if (restaurant_id, i) in engine._positive)
+    return hits / len(members)
+
+
+def predict_reference(engine, user_id, column, method):
+    """``Recommender.predict`` by scanning; the FM path is the engine's own."""
+    if method == "user":
+        return predict_user_item_reference(user_id, column, engine.matrix, engine.user_sims,
+                                           engine.n_neighbors, engine.eq1_center)
+    if method == "item":
+        return predict_item_item_reference(user_id, column, engine.matrix, engine.column_sims,
+                                           engine.n_neighbors)
+    if method == "baseline":
+        return _ref_baseline_predict(column, engine.scored_fragments,
+                                     _ref_global_mean(engine.matrix))
+    return engine.predict(user_id, column, method)
+
+
+def recommend_top_k_reference(engine, user_id, item_id, method="user", k=10, side_weight=0.2):
+    cols = columns_for_item_reference(engine.matrix, item_id)
+    if not cols:
+        raise UnknownItem(str(item_id))
+    if method == "baseline":
+        counts = _ref_positive_counts(item_id, engine.scored_fragments)
+        scored = [(rid, count + side_weight * _ref_side_score(engine, item_id, rid))
+                  for rid, count in counts.items()]
+    else:
+        scored = []
+        for j in cols:
+            column = engine.matrix.columns[j]
+            value = predict_reference(engine, user_id, column, method)
+            side = _ref_side_score(engine, item_id, column[0])
+            scored.append((column[0], value + side_weight * side))
+    scored.sort(key=lambda rs: (-rs[1], rs[0]))
+    return scored[:k]
+
+
+def run_benchmark_reference(corpus, methods, seed=0, train_fraction=0.8, relevance=4.0,
+                            top_k=5, side_weight=0.0, blend_weight=0.5):
+    """``evalx.run_benchmark`` (NB sentiment) answered through the scans above."""
+    train_reviews, test_reviews = evalx.train_test_split(corpus.reviews, train_fraction, seed)
+    engine = pipeline.build_recommender(corpus, seed=seed, blend_weight=blend_weight,
+                                        with_fm="fm" in methods, reviews=train_reviews)
+    token_map = pipeline.normalize_reviews(test_reviews, corpus.lexicons)
+    test_fragments = pipeline.make_fragments(test_reviews, token_map, corpus.items)
+    truth = evalx._held_out_truth(corpus, test_reviews, test_fragments, blend_weight)
+    matrix = engine.matrix
+    pairs = sorted((u, c) for (u, c) in truth
+                   if u in matrix.user_index and c in matrix.column_index)
+    reports = []
+    for method in methods:
+        preds = [predict_reference(engine, u, c, method) for u, c in pairs]
+        golds = [truth[(u, c)] for u, c in pairs]
+        pred_cls = ["positive" if p >= relevance else "negative" for p in preds]
+        gold_cls = ["positive" if g >= relevance else "negative" for g in golds]
+        tp, fp, fn, tn = evalx.confusion(pred_cls, gold_cls)
+        recommended = {}
+        held = {}
+        for user_id, item_id in sorted({(u, c[1]) for u, c in pairs}):
+            try:
+                ranked = recommend_top_k_reference(engine, user_id, item_id, method,
+                                                   top_k, side_weight)
+            except QueryError:
+                continue
+            recommended[(user_id, item_id)] = [(rid, item_id) for rid, _ in ranked]
+            held[(user_id, item_id)] = {c: truth[(u, c)] for (u, c) in pairs
+                                        if u == user_id and c[1] == item_id}
+        try:
+            prec = evalx.precision_at_k(recommended, held, relevance)
+        except UndefinedMetric:
+            prec = float("nan")
+        reports.append(evalx.EvalReport(
+            method=method,
+            rmse=evalx.rmse(preds, golds) if preds else float("nan"),
+            mae=evalx.mae(preds, golds) if preds else float("nan"),
+            precision=prec, f_score=evalx.f_score(pred_cls, gold_cls),
+            tp=tp, fp=fp, fn=fn, tn=tn, seed=seed,
+        ))
+    return reports

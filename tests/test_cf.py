@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from dishrec.cf import (
+    EQ1_CENTERS,
     RatingMatrix,
     Recommender,
     ScoredFragment,
@@ -16,8 +19,20 @@ from dishrec.cf import (
     user_similarity,
 )
 from dishrec.errors import UnknownColumn, UnknownItem, UnknownUser
+from dishrec.evalx import run_benchmark
+from dishrec.pipeline import build_recommender
+from dishrec.synth import synth_corpus
 
-from oracles import cosine_reference, user_neighborhood_reference, item_neighborhood_reference
+from oracles import (
+    columns_for_item_reference,
+    cosine_reference,
+    item_neighborhood_reference,
+    predict_item_item_reference,
+    predict_user_item_reference,
+    recommend_top_k_reference,
+    run_benchmark_reference,
+    user_neighborhood_reference,
+)
 
 
 def frag(user, rest, item, score, stars, review=None):
@@ -331,3 +346,102 @@ class TestRecommender:
         assert engine.side_score(1, "rA") == 1.0
         assert engine.side_score(1, "rB") == 0.0
         assert engine.side_score(3, "rB") == 0.0  # singleton community
+
+
+# corpus id -> synth_corpus(seed, users, restaurants, items)
+SCAN_CORPORA = {"synth-30u": (1, 30, 8, 10), "synth-40u": (4, 40, 12, 12)}
+
+
+@pytest.fixture(scope="module", params=sorted(SCAN_CORPORA))
+def scan_engine(request):
+    """A built engine on a synthetic corpus whose matrix has one more user,
+    who rated nothing."""
+    seed, users, restaurants, items = SCAN_CORPORA[request.param]
+    built = build_recommender(synth_corpus(seed, users, restaurants, items), seed=seed,
+                              with_fm=False)
+    m = built.matrix
+    matrix = RatingMatrix(m.user_ids + ["zz-no-ratings"], m.columns,
+                          np.vstack([m.ratings, np.zeros(m.n_columns)]),
+                          np.vstack([m.mask, np.zeros(m.n_columns, dtype=bool)]))
+    return Recommender(matrix, built.scored_fragments, partition=built.partition)
+
+
+class TestScanEquivalence:
+    """The index-backed queries give exactly the floats of the scans they
+    replaced (tests/oracles.py), for every user and column."""
+
+    @pytest.mark.parametrize("center", EQ1_CENTERS)
+    @pytest.mark.parametrize("n_neighbors", [20, None])
+    def test_predict_user_item(self, scan_engine, n_neighbors, center):
+        matrix, sims = scan_engine.matrix, scan_engine.user_sims
+        for user_id in matrix.user_ids:
+            for column in matrix.columns:
+                got = predict_user_item(user_id, column, matrix, sims, n_neighbors, center,
+                                        clamp=False)
+                want = predict_user_item_reference(user_id, column, matrix, sims, n_neighbors,
+                                                   center, clamp=False)
+                assert got == want, (user_id, column)
+
+    @pytest.mark.parametrize("n_neighbors", [20, None])
+    def test_predict_item_item(self, scan_engine, n_neighbors):
+        matrix, sims = scan_engine.matrix, scan_engine.column_sims
+        for user_id in matrix.user_ids:
+            for column in matrix.columns:
+                got = predict_item_item(user_id, column, matrix, sims, n_neighbors, clamp=False)
+                want = predict_item_item_reference(user_id, column, matrix, sims, n_neighbors,
+                                                   clamp=False)
+                assert got == want, (user_id, column)
+
+    @pytest.mark.parametrize("n_neighbors", [3, None])
+    def test_signed_tied_similarities(self, scan_engine, n_neighbors):
+        """Cosine similarities of ratings are never negative; random signed
+        similarities on a 0.05 grid exercise the |sim| order and the index
+        tie-break."""
+        matrix = scan_engine.matrix
+        rng = np.random.default_rng(3)
+        sims = []
+        for n in (matrix.n_users, matrix.n_columns):
+            S = np.round(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+            sims.append((S + S.T) / 2.0)
+        S_u, S_c = sims
+        for user_id in matrix.user_ids:
+            for column in matrix.columns:
+                for center in EQ1_CENTERS:
+                    assert predict_user_item(user_id, column, matrix, S_u, n_neighbors, center,
+                                             clamp=False) == predict_user_item_reference(
+                        user_id, column, matrix, S_u, n_neighbors, center, clamp=False)
+                assert predict_item_item(user_id, column, matrix, S_c, n_neighbors,
+                                         clamp=False) == predict_item_item_reference(
+                    user_id, column, matrix, S_c, n_neighbors, clamp=False)
+
+    def test_columns_for_item(self, scan_engine):
+        matrix = scan_engine.matrix
+        items = {item_id for _, item_id in matrix.columns}
+        for item_id in sorted(items) + [max(items) + 1]:
+            assert matrix.columns_for_item(item_id) == columns_for_item_reference(matrix, item_id)
+
+    @pytest.mark.parametrize("method, n_neighbors, center", [
+        ("baseline", 20, "user"),
+        ("user", 20, "user"), ("user", None, "user"), ("user", 20, "item"), ("user", None, "item"),
+        ("item", 20, "user"), ("item", None, "user"),
+    ])
+    def test_recommend_top_k(self, scan_engine, method, n_neighbors, center):
+        engine = scan_engine
+        engine.n_neighbors, engine.eq1_center = n_neighbors, center
+        items = sorted({item_id for _, item_id in engine.matrix.columns})
+        for user_id in engine.matrix.user_ids:
+            for item_id in items:
+                got = engine.recommend_top_k(user_id, item_id, method, k=10, side_weight=0.2)
+                want = recommend_top_k_reference(engine, user_id, item_id, method, k=10,
+                                                 side_weight=0.2)
+                assert got == want, (user_id, item_id)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_benchmark_matches_scan_reference(seed):
+    corpus = synth_corpus(seed, 30, 8, 12)
+    methods = ("baseline", "user", "item")
+    got = [r.to_dict() for r in run_benchmark(corpus, methods, seed=seed)]
+    want = [r.to_dict() for r in run_benchmark_reference(corpus, methods, seed=seed)]
+    # compared as JSON text, so NaN metrics compare equal and -0.0 differs from 0.0
+    assert json.dumps(got) == json.dumps(want)

@@ -132,6 +132,16 @@ class TestTrainSentiment:
         ])
         assert code == 3
 
+    def test_bow_lr_divergence_exits_3(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, [
+            "train-sentiment", "--model", "bow-lr", "--corpus", str(corpus_dir),
+            "--labels", "manual", "--lr", "1e308", "--out", str(out),
+        ])
+        assert code == 3
+        assert "non-finite" in err
+        assert not out.exists()
+
 
 class TestRecommend:
     def test_ranked_rows(self, corpus_dir, capsys):
@@ -356,3 +366,30 @@ def test_load_config_fuzz(tmp_path, lines):
     except InputError:
         return
     assert set(config) <= set(SETTINGS)
+
+
+def _flag_value(valid):
+    return st.sampled_from(valid) | st.text(max_size=12)
+
+
+_RECOMMEND_FLAGS = {
+    "--user": _flag_value(["u000", "u013", "ghost", ""]),
+    "--item": _flag_value(["pasta", "PASTA", "1", "4", "99", "-1"]),
+    "--method": _flag_value(["baseline", "user", "item", "fm", "svd"]),
+    "--top-k": _flag_value(["1", "3", "100", "0", "-2", "2.5"]),
+    "--neighbors": _flag_value(["0", "1", "20", "1000", "-1", "x"]),
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=st.fixed_dictionaries({}, optional=_RECOMMEND_FLAGS))
+def test_recommend_exit_code_fuzz(corpus_dir, capsys, flags):
+    """Any --user/--item/--method/--top-k/--neighbors strings give a
+    documented exit code (0, 2, 3, 4 or 64), never exit 1 or a traceback."""
+    argv = ["recommend", "--corpus", str(corpus_dir)]
+    for flag, value in flags.items():
+        argv += [flag, value]
+    code, _, err = run(capsys, argv)
+    assert code in (0, 2, 3, 4, 64)
+    assert "Traceback" not in err

@@ -196,6 +196,15 @@ class TestTraining:
             with pytest.raises(DivergenceDetected):
                 fm_train(data, lr=1e6, epochs=50, kdim=2, seed=0, n_features=6)
 
+    @pytest.mark.parametrize("steps", [11, 12, 13])
+    def test_non_finite_epoch_mse_raises(self, steps):
+        # huge but finite parameters whose train MSE overflows to inf or nan
+        rng = np.random.default_rng(10)
+        _, data = planted_dataset(rng, n=6, n_samples=30)
+        with pytest.raises(DivergenceDetected, match="train MSE"):
+            fm_train(data, lr=1e6, epochs=steps, kdim=2, seed=0, n_features=6,
+                     iteration_unit="steps")
+
     def test_out_of_range_index_rejected_in_train_or_validation(self):
         rng = np.random.default_rng(11)
         _, data = planted_dataset(rng, n=6, n_samples=20)
@@ -238,6 +247,22 @@ class TestFeatureMap:
         (x0, y0) = data[0]
         assert y0 == 4.0
         assert all(v == 1.0 for _, v in x0)
+
+    def test_dataset_in_user_then_column_order(self):
+        from dishrec.cf import RatingMatrix
+        rng = np.random.default_rng(5)
+        entries = [(f"u{u}", f"r{j % 4}", j, float(rng.integers(1, 6)))
+                   for u in range(7) for j in range(9) if rng.random() < 0.4]
+        matrix = RatingMatrix.from_entries(entries)
+        data, fmap = build_fm_dataset(matrix, item_community={j: j % 3 for j in range(9)})
+        want = [
+            (fmap.encode(user_id, column), float(matrix.ratings[u, j]))
+            for u, user_id in enumerate(matrix.user_ids)
+            for j, column in enumerate(matrix.columns)
+            if matrix.mask[u, j]
+        ]
+        assert len(want) > 10
+        assert data == want
 
 
 def _synth_fm_dataset(item_community=False):
@@ -325,14 +350,15 @@ class TestReferenceEquivalence:
 
         def outcome(train_fn, epochs, unit):
             """Where the end-of-run train MSE overflows, the reference's
-            Python-float square raises OverflowError; the numpy pass gives
-            inf or nan. Both count as "overflow"."""
+            Python-float square raises OverflowError or its numpy mean gives
+            inf or nan, and fm_train raises DivergenceDetected for the
+            non-finite MSE. All three count as "overflow"."""
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     model = train_fn(data, lr=1e6, epochs=epochs, kdim=2, seed=0,
                                      n_features=6, iteration_unit=unit)
-            except DivergenceDetected:
-                return "diverged"
+            except DivergenceDetected as exc:
+                return "overflow" if "train MSE" in str(exc) else "diverged"
             except OverflowError:
                 return "overflow"
             mse = model.history["train_mse"]
