@@ -282,15 +282,13 @@ class Recommender:
     """Bundles the trained state needed to answer top-k restaurant queries."""
 
     def __init__(self, matrix: RatingMatrix, scored_fragments,
-                 user_sims: np.ndarray | None = None,
-                 column_sims: np.ndarray | None = None,
                  partition: dict[int, int] | None = None,
                  fm_model=None, fm_features=None,
                  n_neighbors: int | None = 20, eq1_center: str = "user"):
         self.matrix = matrix
         self.scored_fragments = list(scored_fragments)
-        self.user_sims = user_sims if user_sims is not None else user_similarity(matrix)
-        self.column_sims = column_sims if column_sims is not None else column_similarity(matrix)
+        self.user_sims = user_similarity(matrix)
+        self.column_sims = column_similarity(matrix)
         self.partition = partition or {}
         self.fm_model = fm_model
         self.fm_features = fm_features
@@ -362,15 +360,3 @@ class Recommender:
                 )
         scored.sort(key=lambda rs: (-rs[1], rs[0]))
         return scored[:k]
-
-
-def export_matrix(matrix: RatingMatrix, path, seed=None):
-    """Write ``user_id<TAB>restaurant_id:item_id<TAB>rating`` triples in
-    deterministic (user, column) order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
-        for u, user_id in enumerate(matrix.user_ids):
-            for j, (restaurant_id, item_id) in enumerate(matrix.columns):
-                if matrix.mask[u, j]:
-                    fh.write(f"{user_id}\t{restaurant_id}:{item_id}\t{matrix.ratings[u, j]!r}\n")

@@ -47,6 +47,7 @@ def _one_of(choices):
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _finite_float = _checked(float, math.isfinite, "a finite number")
+_unit_float = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _method_list = _checked(
     lambda text: [m.strip() for m in text.split(",") if m.strip()],
     lambda methods: methods and set(methods) <= set(evalx.BENCHMARK_METHODS),
@@ -167,10 +168,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with gold files")
     _add_setting(p, "seed")
-    p.add_argument("--users", type=int, required=True)
-    p.add_argument("--restaurants", type=int, required=True)
-    p.add_argument("--items", type=int, required=True)
-    p.add_argument("--noise", type=float, default=0.1)
+    for size in ("--users", "--restaurants", "--items"):
+        p.add_argument(size, type=_flag_type(_positive_int), required=True)
+    p.add_argument("--noise", type=_flag_type(_unit_float), default=0.1)
     p.add_argument("--out", required=True)
 
     return parser
@@ -370,8 +370,9 @@ def main(argv=None) -> int:
         if config_path:
             config = load_config(config_path)
         return _COMMANDS[args.command](args, config)
-    except (InputError, FileNotFoundError, ValueError) as exc:
-        # a ValueError that no check caught is still a bad input, never a crash
+    except (InputError, OSError, ValueError) as exc:
+        # an unreadable input, an unwritable --out or a ValueError that no
+        # check caught is still a bad input, never a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

@@ -42,12 +42,10 @@ class FMModel:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """One-hot layout: user block, then column block, then (optionally) an
-    indicator for the column item's side-dish community."""
+    """One-hot layout: user block, then column block."""
 
     user_ids: tuple[str, ...]
     columns: tuple[tuple[str, int], ...]
-    item_community: dict | None = None  # item_id -> community id; None = feature off
 
     def __post_init__(self):
         object.__setattr__(self, "_user_index", {u: i for i, u in enumerate(self.user_ids)})
@@ -55,14 +53,10 @@ class FeatureMap:
             self, "_column_index",
             {c: len(self.user_ids) + j for j, c in enumerate(self.columns)},
         )
-        n_comm = 0
-        if self.item_community:
-            n_comm = max(self.item_community.values()) + 1
-        object.__setattr__(self, "_n_communities", n_comm)
 
     @property
     def n_features(self):
-        return len(self.user_ids) + len(self.columns) + self._n_communities
+        return len(self.user_ids) + len(self.columns)
 
     def encode(self, user_id, column):
         u = self._user_index.get(user_id)
@@ -71,24 +65,17 @@ class FeatureMap:
         c = self._column_index.get(column)
         if c is None:
             raise UnknownColumn(str(column))
-        features = [(u, 1.0), (c, 1.0)]
-        if self.item_community is not None:
-            community = self.item_community.get(column[1])
-            if community is not None:
-                offset = len(self.user_ids) + len(self.columns)
-                features.append((offset + community, 1.0))
-        return tuple(features)
+        return ((u, 1.0), (c, 1.0))
 
     @classmethod
-    def from_matrix(cls, matrix, item_community=None) -> "FeatureMap":
-        return cls(tuple(matrix.user_ids), tuple(matrix.columns), item_community)
+    def from_matrix(cls, matrix) -> "FeatureMap":
+        return cls(tuple(matrix.user_ids), tuple(matrix.columns))
 
 
-def build_fm_dataset(matrix, feature_map: FeatureMap | None = None, item_community=None):
+def build_fm_dataset(matrix):
     """(features, target) pairs for every observed matrix entry, in
-    deterministic (user, column) order. Passing item_community switches the
-    side-community indicator feature on (off by default)."""
-    fmap = feature_map or FeatureMap.from_matrix(matrix, item_community)
+    deterministic (user, column) order."""
+    fmap = FeatureMap.from_matrix(matrix)
     data = [
         (fmap.encode(matrix.user_ids[u], matrix.columns[j]), float(matrix.ratings[u, j]))
         for u, j in np.argwhere(matrix.mask).tolist()
@@ -127,7 +114,8 @@ def _step(x, y, w0, w, V, lr, lambda_w, lambda_v, kdim):
     Every gradient is taken from the pre-update parameters (``rows``). The
     factor-row update inlines d y / d V_i = x_i (s - V_i x_i), the formula of
     ``fm_predict_gradients``: building a separate gradient list made training
-    about a fifth slower. Only w0 and the touched rows can change, so only
+    about a fifth slower. Weight decay applies to the active w_i and V rows;
+    w0 is unregularized. Only w0 and the touched rows can change, so only
     they are checked for finiteness.
     """
     rows = [V[i] for i, _ in x]
@@ -164,21 +152,6 @@ def fm_predict_gradients(x, model: FMModel):
     _, s = _forward(x, model.w0, w, V, model.kdim)
     grad_V = [(i, np.array([v * (a - r * v) for a, r in zip(s, V[i])])) for i, v in x]
     return 1.0, [(i, v) for i, v in x], grad_V
-
-
-def fm_sgd_step(x, y, model: FMModel, lr: float) -> float:
-    """One squared-error SGD step on the touched coordinates.
-
-    Weight decay with the current lambda_w / lambda_v applies to the active
-    linear weights and factor rows; w0 is unregularized. Returns the
-    prediction made before the update.
-    """
-    w, V = _active(x, model)
-    y_hat, model.w0 = _step(x, y, model.w0, w, V, lr, model.lambda_w, model.lambda_v, model.kdim)
-    for i in w:
-        model.w[i] = w[i]
-        model.V[i] = V[i]
-    return y_hat
 
 
 def _as_arrays(data, n_features):

@@ -1,8 +1,8 @@
 """Versioned JSON model documents.
 
-Every document records the model kind, its hyperparameters, the fitted
-vocabulary (ordered token list plus sha256) or feature maps, and the
-parameters. JSON serializes doubles via repr, so a load/save round trip
+Every document records the sentiment model kind (nb, lr, dt or lstm), its
+hyperparameters, the fitted vocabulary (ordered token list plus sha256) and
+the parameters. JSON serializes doubles via repr, so a load/save round trip
 reproduces predictions bit-exactly.
 """
 
@@ -14,7 +14,6 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import ModelFormatError
-from .fm import FMModel, FeatureMap
 from .lstm import LSTMParams
 from .sentiment import DTModel, DTNode, LRModel, NBModel
 
@@ -54,7 +53,7 @@ def _tree_from_doc(doc):
     return node
 
 
-def save_model(model, path, vocab: Vocabulary | None = None, seed=None, extra=None):
+def save_model(model, path, vocab: Vocabulary | None = None, seed=None):
     """Serialize a trained model. NB models carry their own vocabulary; LR,
     DT and LSTM models need the fitting vocabulary passed in."""
     if isinstance(model, NBModel):
@@ -102,25 +101,6 @@ def save_model(model, path, vocab: Vocabulary | None = None, seed=None, extra=No
                              "b_i", "b_f", "b_o", "b_c", "w_out", "b_out")
             },
         }
-    elif isinstance(model, FMModel):
-        doc = {
-            "kind": "fm",
-            "hyperparameters": {
-                "kdim": model.kdim,
-                "lambda_w": model.lambda_w,
-                "lambda_v": model.lambda_v,
-            },
-            "params": {"w0": model.w0, "w": _arr(model.w), "V": _arr(model.V)},
-        }
-        if isinstance(extra, FeatureMap):
-            doc["feature_map"] = {
-                "user_ids": list(extra.user_ids),
-                "columns": [[rid, item_id] for rid, item_id in extra.columns],
-            }
-            if extra.item_community is not None:
-                doc["feature_map"]["item_community"] = {
-                    str(k): v for k, v in extra.item_community.items()
-                }
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
 
@@ -134,11 +114,7 @@ def save_model(model, path, vocab: Vocabulary | None = None, seed=None, extra=No
 
 
 def load_model(path):
-    """Load a model document.
-
-    Returns (model, vocab) for sentiment models and (model, feature_map or
-    None) for factorization machines.
-    """
+    """Load a model document as (model, vocab)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != FORMAT:
@@ -173,24 +149,4 @@ def load_model(path):
                          "b_i", "b_f", "b_o", "b_c", "w_out", "b_out")
         }
         return LSTMParams(**kwargs), vocab
-    if kind == "fm":
-        hyper = doc["hyperparameters"]
-        model = FMModel(
-            w0=float(params["w0"]),
-            w=np.array(params["w"]),
-            V=np.array(params["V"]),
-            lambda_w=hyper["lambda_w"],
-            lambda_v=hyper["lambda_v"],
-            kdim=hyper["kdim"],
-        )
-        fmap = None
-        if "feature_map" in doc:
-            fm_doc = doc["feature_map"]
-            community = fm_doc.get("item_community")
-            fmap = FeatureMap(
-                tuple(fm_doc["user_ids"]),
-                tuple((rid, int(item_id)) for rid, item_id in fm_doc["columns"]),
-                {int(k): v for k, v in community.items()} if community else None,
-            )
-        return model, fmap
     raise ModelFormatError(f"unknown model kind {kind!r}")

@@ -245,10 +245,6 @@ def dt_train(X, labels, max_depth: int = 10, min_samples_leaf: int = 2) -> DTMod
     return DTModel(root, max_depth, min_samples_leaf, X.shape[1])
 
 
-def dt_predict(x, model: DTModel) -> str:
-    return _descend(x, model).label
-
-
 def _descend(x, model: DTModel) -> DTNode:
     node = model.root
     while node.feature is not None:

@@ -322,35 +322,3 @@ def top_words(model: TopicModel, topic: int, n: int = 10) -> list[str]:
     probs = model.word_probabilities(topic)
     ranked = sorted(range(model.vocab_size), key=lambda w: (-probs[w], model.vocab_tokens[w]))
     return [model.vocab_tokens[w] for w in ranked[:n]]
-
-
-def side_pairs(source, item_token_map: dict[str, int] | None = None,
-               top_n: int = 10) -> list[tuple[int, int]]:
-    """Co-preferred item pairs.
-
-    From a partition (dict item_id -> community_id): all unordered pairs
-    within each community. From a TopicModel: all pairs of lexicon items
-    whose tokens co-occur in any topic's top-``top_n`` (``item_token_map``
-    maps item tokens to item ids). Deduplicated and sorted.
-    """
-    pairs = set()
-    if isinstance(source, TopicModel):
-        if item_token_map is None:
-            raise ValueError("item_token_map required for topic mode")
-        for k in range(source.n_topics):
-            members = sorted(
-                {item_token_map[t] for t in top_words(source, k, top_n) if t in item_token_map}
-            )
-            for a_i in range(len(members)):
-                for b_i in range(a_i + 1, len(members)):
-                    pairs.add((members[a_i], members[b_i]))
-    else:
-        groups = defaultdict(list)
-        for item_id, community in source.items():
-            groups[community].append(item_id)
-        for members in groups.values():
-            members.sort()
-            for a_i in range(len(members)):
-                for b_i in range(a_i + 1, len(members)):
-                    pairs.add((members[a_i], members[b_i]))
-    return sorted(pairs)

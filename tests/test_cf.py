@@ -13,7 +13,6 @@ from dishrec.cf import (
     column_similarity,
     cosine_sim,
     derive_item_rating,
-    export_matrix,
     predict_item_item,
     predict_user_item,
     user_similarity,
@@ -286,14 +285,14 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             RatingMatrix.from_entries([("u0", "r0", 0, 7.0)])
 
-    def test_export_deterministic(self, tmp_path):
-        frags = [frag("u1", "rB", 2, 0.5, 4.0, "e1"), frag("u0", "rA", 1, -0.5, 2.0, "e2")]
-        matrix = build_rating_matrix(frags)
-        p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        export_matrix(matrix, p1, seed=5)
-        export_matrix(matrix, p2, seed=5)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert p1.read_text().startswith("# seed=5\n")
+    def test_unrated_column_and_user_fall_back_to_global_mean(self):
+        ratings = np.array([[5.0, 0.0], [4.0, 0.0], [0.0, 0.0]])
+        mask = np.array([[True, False], [True, False], [False, False]])
+        matrix = RatingMatrix(["u0", "u1", "u2"], [("r0", 1), ("r1", 2)], ratings, mask)
+        assert matrix.global_mean() == 4.5
+        assert matrix.column_mean(0) == 4.5
+        assert matrix.column_mean(1) == matrix.global_mean()
+        assert matrix.user_mean(2) == matrix.global_mean()
 
 
 class TestRecommender:

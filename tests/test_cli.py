@@ -279,6 +279,7 @@ RECOMMEND = ["recommend", "--corpus", "{corpus}", "--user", "u000", "--item", "p
 EVALUATE = ["evaluate", "--corpus", "{corpus}", "--methods", "baseline", "--out", "{tmp}/r.json"]
 TRAIN_NB = ["train-sentiment", "--model", "nb", "--corpus", "{corpus}", "--labels", "manual",
             "--out", "{tmp}/m.json"]
+SYNTH = ["synth", "--users", "3", "--restaurants", "2", "--items", "2", "--out", "{tmp}/s"]
 
 
 # case -> (config file text or None, argv, expected exit code)
@@ -298,6 +299,11 @@ BAD_SETTINGS = {
     "flag-synth-seed-negative": (None, ["synth", "--seed", "-1", "--users", "3",
                                         "--restaurants", "2", "--items", "2",
                                         "--out", "{tmp}/s"], 64),
+    "flag-synth-users-negative": (None, SYNTH + ["--users", "-3"], 64),
+    "flag-synth-restaurants-zero": (None, SYNTH + ["--restaurants", "0"], 64),
+    "flag-synth-items-negative": (None, SYNTH + ["--items", "-1"], 64),
+    "flag-synth-noise-nan": (None, SYNTH + ["--noise", "nan"], 64),
+    "flag-synth-noise-above-one": (None, SYNTH + ["--noise", "1.5"], 64),
     "flag-topics-zero": (None, ["sides", "--corpus", "{corpus}", "--method", "lda",
                                 "--topics", "0", "--out", "{tmp}/t.tsv"], 64),
     "config-neighbors-negative": ("neighbors = -1", RECOMMEND, 2),
@@ -318,6 +324,18 @@ BAD_SETTINGS = {
                                             "--out", "{tmp}/m.json"], 2),
 }
 
+# case -> argv whose --out cannot be written: an existing directory, or for
+# synth an existing file
+UNWRITABLE_OUT = {
+    "ingest-out-dir": ["ingest", "--reviews", "{corpus}/reviews.jsonl",
+                       "--restaurants", "{corpus}/restaurants.jsonl",
+                       "--lexicons", "{corpus}/lexicons", "--out", "{tmp}"],
+    "train-sentiment-out-dir": TRAIN_NB[:-1] + ["{tmp}"],
+    "sides-out-dir": ["sides", "--corpus", "{corpus}", "--method", "louvain", "--out", "{tmp}"],
+    "evaluate-out-dir": EVALUATE[:-1] + ["{tmp}"],
+    "synth-out-file": SYNTH[:-1] + ["{tmp}/file"],
+}
+
 
 class TestBadSettings:
     """Every bad setting fails with its documented exit code: 64 for a flag,
@@ -333,6 +351,16 @@ class TestBadSettings:
             cfg.write_text(config + "\n", encoding="utf-8")
             argv = ["--config", str(cfg)] + argv
         assert run(capsys, argv)[0] == code
+
+    @pytest.mark.parametrize("argv", list(UNWRITABLE_OUT.values()), ids=list(UNWRITABLE_OUT))
+    def test_unwritable_out_exits_2(self, corpus_dir, tmp_path, capsys, argv):
+        """--out naming a directory, or for synth a file, is an input error."""
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        argv = [a.format(corpus=corpus_dir, tmp=tmp_path) for a in argv]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
     def test_non_utf8_reviews_exit_2(self, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "reviews.jsonl"
@@ -389,6 +417,108 @@ def test_recommend_exit_code_fuzz(corpus_dir, capsys, flags):
     documented exit code (0, 2, 3, 4 or 64), never exit 1 or a traceback."""
     argv = ["recommend", "--corpus", str(corpus_dir)]
     for flag, value in flags.items():
+        argv += [flag, value]
+    code, _, err = run(capsys, argv)
+    assert code in (0, 2, 3, 4, 64)
+    assert "Traceback" not in err
+
+
+def _mostly(valid, invalid):
+    """A value from ``valid`` three times in four, else one from ``invalid``
+    (a list, or a strategy such as free text)."""
+    if isinstance(invalid, list):
+        invalid = st.sampled_from(invalid)
+    return st.integers(0, 3).flatmap(lambda n: invalid if n == 3 else st.sampled_from(valid))
+
+
+def _text(*values):
+    return st.sampled_from(values) | st.text(max_size=12)
+
+
+# An --out value is never free text, so no example writes outside the test's
+# own directories. Flags that set the amount of work (--epochs, --iterations,
+# --topics, the synth sizes) draw only from short fixed lists.
+_OUT = _mostly(["{dir}/out.txt"], ["{dir}", "{file}", "{dir}/absent/out.txt"])
+_WORK = _mostly(["1", "2"], ["0", "-1", "x"])
+_CORPUS = _mostly(["{corpus}"], _text("{dir}", "{file}", "{dir}/absent"))
+_SEED = _mostly(["0", "7"], _text("-1", "x"))
+_NUMBER = _mostly(["0", "0.5", "1"], _text("-1", "nan", "inf", "1e308", "x"))
+
+# command -> (flags always given, flags that may be left out)
+_COMMAND_FLAGS = {
+    "ingest": (
+        {
+            "--reviews": _mostly(["{corpus}/reviews.jsonl"],
+                                 _text("{corpus}/restaurants.jsonl", "{corpus}", "{file}",
+                                       "{dir}/absent.jsonl")),
+            "--restaurants": _mostly(["{corpus}/restaurants.jsonl"],
+                                     _text("{corpus}/reviews.jsonl", "{file}", "{dir}")),
+            "--lexicons": _mostly(["{corpus}/lexicons"], _text("{corpus}", "{file}", "{dir}")),
+            "--out": _OUT,
+        },
+        {"--seed": _SEED},
+    ),
+    "train-sentiment": (
+        {
+            "--model": _mostly(["nb", "bow-lr", "bow-dt", "lstm"], _text("svm")),
+            "--corpus": _CORPUS,
+            "--labels": _mostly(["manual", "threshold:2.5"],
+                                _text("threshold:3.5", "threshold:x", "auto")),
+            "--out": _OUT,
+            "--epochs": _WORK,
+        },
+        {"--seed": _SEED, "--lr": _NUMBER},
+    ),
+    "sides": (
+        {
+            "--corpus": _CORPUS,
+            "--method": _mostly(["louvain", "lda"], _text("x")),
+            "--out": _OUT,
+            "--topics": _WORK,
+            "--iterations": _WORK,
+        },
+        {"--seed": _SEED},
+    ),
+    "evaluate": (
+        {"--corpus": _CORPUS, "--out": _OUT},
+        {
+            "--methods": _mostly(["baseline", "user,item", "fm"], _text("baseline,svd", "")),
+            "--seed": _SEED,
+            "--top-k": _mostly(["1", "5"], _text("0", "-1")),
+            "--side-weight": _NUMBER,
+            "--relevance": _NUMBER,
+        },
+    ),
+    "synth": (
+        {"--users": _WORK, "--restaurants": _WORK, "--items": _WORK,
+         "--out": _mostly(["{dir}/synth", "{dir}"], ["{file}"])},
+        {"--seed": _SEED, "--noise": _NUMBER},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory, corpus_dir):
+    """Placeholder -> path: the corpus, an existing directory and file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "file").write_text("not a corpus\n", encoding="utf-8")
+    return {"{corpus}": str(corpus_dir), "{dir}": str(root), "{file}": str(root / "file")}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_command_exit_code_fuzz(fuzz_paths, capsys, command, data):
+    """Any flag strings for ingest, train-sentiment, sides, evaluate or synth
+    give a documented exit code (0, 2, 3, 4 or 64), never exit 1 or a
+    traceback."""
+    always, optional = _COMMAND_FLAGS[command]
+    flags = data.draw(st.fixed_dictionaries(always, optional=optional))
+    argv = [command]
+    for flag, value in flags.items():
+        for placeholder, path in fuzz_paths.items():
+            value = value.replace(placeholder, path)
         argv += [flag, value]
     code, _, err = run(capsys, argv)
     assert code in (0, 2, 3, 4, 64)

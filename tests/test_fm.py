@@ -5,10 +5,11 @@ from dishrec.errors import DivergenceDetected, FeatureIndexOutOfRange, InvalidCo
 from dishrec.fm import (
     FMModel,
     FeatureMap,
+    _forward,
+    _step,
     build_fm_dataset,
     fm_predict,
     fm_predict_gradients,
-    fm_sgd_step,
     fm_train,
 )
 
@@ -109,23 +110,25 @@ def planted_dataset(rng, n=30, kdim=2, n_samples=300, sigma=0.1):
 
 
 class TestSgdStep:
+    """The training kernel ``_step`` on list parameters, updated in place."""
+
     def test_returns_pre_update_prediction_and_moves_bias(self):
-        model = FMModel(0.0, np.zeros(3), np.zeros((3, 2)), 0.0, 0.0, 2)
+        w, V = [0.0] * 3, [[0.0, 0.0] for _ in range(3)]
         x = [(0, 1.0), (2, 1.0)]
-        y_hat = fm_sgd_step(x, 4.0, model, lr=0.1)
+        y_hat, w0 = _step(x, 4.0, 0.0, w, V, 0.1, 0.0, 0.0, 2)
         assert y_hat == 0.0                       # prediction before the step
-        assert model.w0 == pytest.approx(0.8)     # -lr * 2 * (0 - 4)
-        assert model.w[0] == model.w[2] == pytest.approx(0.8)
-        assert model.w[1] == 0.0                  # untouched coordinate
+        assert w0 == pytest.approx(0.8)           # -lr * 2 * (0 - 4)
+        assert w[0] == w[2] == pytest.approx(0.8)
+        assert w[1] == 0.0                        # untouched coordinate
 
     def test_weight_decay_skips_bias(self):
-        model = FMModel(2.0, np.ones(2), np.zeros((2, 1)), 1.0, 1.0, 1)
+        w, V = [1.0, 1.0], [[0.0], [0.0]]
         x = [(0, 1.0)]
-        y = fm_predict(x, model)  # step with zero error leaves only the decay
-        fm_sgd_step(x, y, model, lr=0.1)
-        assert model.w0 == 2.0
-        assert model.w[0] == pytest.approx(0.9)   # 1 - lr * lambda_w * 1
-        assert model.w[1] == 1.0
+        y, _ = _forward(x, 2.0, w, V, 1)  # step with zero error leaves only the decay
+        _, w0 = _step(x, y, 2.0, w, V, 0.1, 1.0, 1.0, 1)
+        assert w0 == 2.0
+        assert w[0] == pytest.approx(0.9)         # 1 - lr * lambda_w * 1
+        assert w[1] == 1.0
 
 
 class TestTraining:
@@ -225,17 +228,6 @@ class TestFeatureMap:
         assert fmap.encode("u1", ("r0", 1)) == ((1, 1.0), (2, 1.0))
         assert fmap.n_features == 4
 
-    def test_community_indicator_off_by_default(self):
-        fmap = FeatureMap(("u0",), (("r0", 1),))
-        assert fmap.item_community is None
-        assert len(fmap.encode("u0", ("r0", 1))) == 2
-
-    def test_community_indicator_block(self):
-        fmap = FeatureMap(("u0", "u1"), (("r0", 1), ("r1", 2)), item_community={1: 0, 2: 1})
-        x = fmap.encode("u1", ("r1", 2))
-        assert fmap.n_features == 6
-        assert x == ((1, 1.0), (3, 1.0), (5, 1.0))
-
     def test_dataset_from_matrix(self):
         from dishrec.cf import RatingMatrix
         matrix = RatingMatrix.from_entries(
@@ -254,7 +246,7 @@ class TestFeatureMap:
         entries = [(f"u{u}", f"r{j % 4}", j, float(rng.integers(1, 6)))
                    for u in range(7) for j in range(9) if rng.random() < 0.4]
         matrix = RatingMatrix.from_entries(entries)
-        data, fmap = build_fm_dataset(matrix, item_community={j: j % 3 for j in range(9)})
+        data, fmap = build_fm_dataset(matrix)
         want = [
             (fmap.encode(user_id, column), float(matrix.ratings[u, j]))
             for u, user_id in enumerate(matrix.user_ids)
@@ -265,15 +257,13 @@ class TestFeatureMap:
         assert data == want
 
 
-def _synth_fm_dataset(item_community=False):
-    """The FM dataset of the 100-user synthetic corpus, optionally with the
-    side-community indicator (three features per instance)."""
+def _synth_fm_dataset():
+    """The FM dataset of the 100-user synthetic corpus."""
     from dishrec.pipeline import build_recommender
     from dishrec.synth import synth_corpus
 
     engine = build_recommender(synth_corpus(1, 100, 20, 24), seed=1, with_fm=False)
-    data, fmap = build_fm_dataset(engine.matrix,
-                                  item_community=engine.partition if item_community else None)
+    data, fmap = build_fm_dataset(engine.matrix)
     return data, fmap.n_features
 
 
@@ -282,10 +272,6 @@ def _reference_case(name):
     if name == "synth":
         data, n = _synth_fm_dataset()
         return data, None, dict(lr=0.05, epochs=4, kdim=8, seed=1, n_features=n)
-    if name == "synth-community":
-        data, n = _synth_fm_dataset(item_community=True)
-        assert {len(x) for x, _ in data} == {3}
-        return data, None, dict(lr=0.05, epochs=4, kdim=8, seed=2, n_features=n)
     if name == "planted":
         _, data = planted_dataset(rng, n=30, kdim=2, n_samples=400)
         return data[:320], None, dict(lr=0.05, epochs=30, kdim=2, seed=404, n_features=30)
@@ -312,8 +298,8 @@ class TestReferenceEquivalence:
 
     TOL = 1e-12
 
-    @pytest.mark.parametrize("name", ["synth", "synth-community", "planted", "planted-low-lr",
-                                      "non-binary", "steps"])
+    @pytest.mark.parametrize("name", ["synth", "planted", "planted-low-lr", "non-binary",
+                                      "steps"])
     def test_matches_reference_trainer(self, name):
         train, validation, kwargs = _reference_case(name)
         got = fm_train(train, validation, **kwargs)
@@ -331,18 +317,18 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(41)
         for case in range(30):
             n, kdim = int(rng.integers(2, 7)), int(rng.integers(1, 4))
-            got = random_model(rng, n, kdim, scale=0.7)
-            want = FMModel(got.w0, got.w.copy(), got.V.copy(), 0.3, 0.2, kdim)
-            got.lambda_w, got.lambda_v = 0.3, 0.2
+            want = random_model(rng, n, kdim, scale=0.7)
+            want.lambda_w, want.lambda_v = 0.3, 0.2
+            w, V = want.w.tolist(), want.V.tolist()
             x = random_instance(rng, n)
             if case % 5 == 0:
                 x = x + x[:1]  # a repeated index
             y = float(rng.normal())
-            y_hat = fm_sgd_step(x, y, got, 0.05)
+            y_hat, w0 = _step(x, y, want.w0, w, V, 0.05, 0.3, 0.2, kdim)
             assert abs(y_hat - fm_sgd_step_reference(x, y, want, 0.05)) <= self.TOL
-            assert abs(got.w0 - want.w0) <= self.TOL
-            assert np.abs(got.w - want.w).max() <= self.TOL
-            assert np.abs(got.V - want.V).max() <= self.TOL
+            assert abs(w0 - want.w0) <= self.TOL
+            assert np.abs(np.array(w) - want.w).max() <= self.TOL
+            assert np.abs(np.array(V) - want.V).max() <= self.TOL
 
     def test_divergence_at_the_same_epoch_and_step(self):
         rng = np.random.default_rng(10)

@@ -1,11 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
 from dishrec.corpus import NEGATIVE, POSITIVE, build_vocabulary
 from dishrec.errors import ModelFormatError
-from dishrec.fm import FeatureMap, fm_predict, fm_train
 from dishrec.lstm import init_params, lstm_forward, lstm_train
 from dishrec.modelio import load_model, save_model
 from dishrec.sentiment import (
@@ -72,20 +70,6 @@ def test_lstm_roundtrip_bit_exact(tmp_path):
         assert lstm_forward(seq, loaded)[0] == lstm_forward(seq, trained)[0]
 
 
-def test_fm_roundtrip_with_feature_map(tmp_path):
-    rng = np.random.default_rng(1)
-    data = [([(0, 1.0), (3, 1.0)], 4.0), ([(1, 1.0), (2, 1.0)], 2.0),
-            ([(0, 1.0), (2, 1.0)], 3.5), ([(1, 1.0), (3, 1.0)], 2.5)]
-    model = fm_train(data, lr=0.02, epochs=30, kdim=2, seed=1, n_features=4)
-    fmap = FeatureMap(("u0", "u1"), (("r0", 1), ("r1", 2)))
-    path = tmp_path / "fm.json"
-    save_model(model, path, extra=fmap)
-    loaded, loaded_map = load_model(path)
-    for x, _ in data:
-        assert fm_predict(x, loaded) == fm_predict(x, model)
-    assert loaded_map.encode("u1", ("r1", 2)) == fmap.encode("u1", ("r1", 2))
-
-
 def test_rejects_foreign_documents(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"format": "something-else"}), encoding="utf-8")
@@ -96,6 +80,17 @@ def test_rejects_foreign_documents(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_fm_document_is_an_unknown_kind(tmp_path):
+    path = tmp_path / "fm.json"
+    path.write_text(json.dumps({
+        "format": "dishrec-model", "version": 1, "kind": "fm",
+        "hyperparameters": {"kdim": 1, "lambda_w": 0.0, "lambda_v": 0.0},
+        "params": {"w0": 0.0, "w": [0.0], "V": [[0.0]]},
+    }), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="unknown model kind 'fm'"):
         load_model(path)
 
 

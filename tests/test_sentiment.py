@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from dishrec.corpus import NEGATIVE, POSITIVE, Vocabulary, build_vocabulary
-from dishrec.errors import SingleClassCorpus
+from dishrec import sentiment
+from dishrec.errors import DivergenceDetected, SingleClassCorpus
 from dishrec.sentiment import (
     bow_matrix,
     bow_vectorize,
+    _descend,
     classify_fragment,
-    dt_predict,
     dt_train,
     gini,
     lr_loss_and_grad,
@@ -130,6 +131,22 @@ class TestLogisticRegression:
         assert (diffs <= 1e-12).all()
         assert model.loss_history[-1] <= model.loss_history[0]
 
+    def test_training_stops_at_first_non_finite_epoch(self, monkeypatch):
+        losses = []
+
+        def recording(*args):
+            result = lr_loss_and_grad(*args)
+            losses.append(result[0])
+            return result
+
+        monkeypatch.setattr(sentiment, "lr_loss_and_grad", recording)
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(DivergenceDetected):
+            lr_train(X, [POSITIVE, NEGATIVE, POSITIVE], lr=1e308, epochs=50)
+        # epoch 1 starts from zeros; its step overflows the loss of epoch 2
+        assert len(losses) == 2
+        assert math.isfinite(losses[0]) and not math.isfinite(losses[1])
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -158,14 +175,14 @@ class TestDecisionTree:
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         model = dt_train(X, [POSITIVE, POSITIVE])
         assert model.root.feature is None
-        assert dt_predict(np.array([0.0, 0.0]), model) == POSITIVE
+        assert _descend(np.array([0.0, 0.0]), model).label == POSITIVE
 
     def test_xor_fits_at_depth_two(self):
         # 4-row truth table: label = x0 XOR x1
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = [NEGATIVE, POSITIVE, POSITIVE, NEGATIVE]
         model = dt_train(X, y, max_depth=2, min_samples_leaf=1)
-        preds = [dt_predict(x, model) for x in X]
+        preds = [_descend(x, model).label for x in X]
         assert preds == y
 
     def test_gini_pure_node_is_zero(self):
@@ -214,7 +231,7 @@ class TestDecisionTree:
     def test_leaf_tie_goes_positive(self):
         X = np.array([[1.0], [1.0]])
         model = dt_train(X, [POSITIVE, NEGATIVE], max_depth=2)
-        assert dt_predict(np.array([1.0]), model) == POSITIVE
+        assert _descend(np.array([1.0]), model).label == POSITIVE
 
 
 class TestClassifyFragment:

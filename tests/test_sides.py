@@ -10,7 +10,6 @@ from dishrec.sides import (
     lda_train,
     louvain,
     modularity,
-    side_pairs,
     top_words,
 )
 
@@ -242,24 +241,3 @@ class TestLDA:
         a = lda_train(docs, n_topics=3, iterations=20, seed=11)
         b = lda_train(docs, n_topics=3, iterations=20, seed=11)
         assert a.assignments == b.assignments
-
-
-class TestSidePairs:
-    def test_partition_mode(self):
-        assert side_pairs({1: 0, 2: 0, 3: 1}) == [(1, 2)]
-
-    def test_all_singletons(self):
-        assert side_pairs({1: 0, 2: 1, 3: 2}) == []
-
-    def test_topic_mode(self):
-        docs = [["pasta", "garlic_bread"] * 5, ["noodles"] * 4]
-        model = lda_train(docs, n_topics=1, iterations=10, seed=1)
-        pairs = side_pairs(model, item_token_map={"pasta": 1, "garlic_bread": 7, "noodles": 4})
-        assert (1, 7) in pairs
-        assert all(a < b for a, b in pairs)
-
-    def test_topic_mode_requires_map(self):
-        docs = [["x", "y"]]
-        model = lda_train(docs, n_topics=1, iterations=1, seed=0)
-        with pytest.raises(ValueError):
-            side_pairs(model)
