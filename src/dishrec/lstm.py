@@ -4,15 +4,21 @@ through time.
 The network embeds each token, runs the standard gated recurrence and maps
 the final hidden state through a tanh head to a score in [-1, 1]. Sequences
 are processed one at a time at natural length, which keeps BPTT exact.
+
+The four gates are stacked (Hochreiter & Schmidhuber 1997; Graves 2013):
+one input matrix W, one recurrent matrix U and one bias b hold a d_h-row
+block per gate in GATES order, so a step costs two matvecs forward (W @ e,
+U @ h) and one backward (U.T @ da) instead of eight and four.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DivergenceDetected, IndexOutOfVocabulary
+from .errors import DivergenceDetected, EmptyCorpus, IndexOutOfVocabulary, InvalidConfig
 
 GATES = ("i", "f", "o", "c")
 
@@ -20,28 +26,19 @@ GATES = ("i", "f", "o", "c")
 @dataclass
 class LSTMParams:
     E: np.ndarray        # |V| x d_e embedding
-    W_i: np.ndarray      # d_h x d_e input weights per gate
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    U_i: np.ndarray      # d_h x d_h recurrent weights per gate
-    U_f: np.ndarray
-    U_o: np.ndarray
-    U_c: np.ndarray
-    b_i: np.ndarray      # d_h gate biases
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    W: np.ndarray        # 4*d_h x d_e input weights, one d_h-row block per gate
+    U: np.ndarray        # 4*d_h x d_h recurrent weights, same blocks
+    b: np.ndarray        # 4*d_h gate biases, same blocks
     w_out: np.ndarray    # d_h output head
     b_out: float
 
     @property
     def d_hidden(self):
-        return self.W_i.shape[0]
+        return self.W.shape[0] // len(GATES)
 
     @property
     def d_embed(self):
-        return self.W_i.shape[1]
+        return self.W.shape[1]
 
     @property
     def vocab_size(self):
@@ -62,51 +59,68 @@ def init_params(vocab_size: int, d_embed: int = 16, d_hidden: int = 16, seed: in
     def u(*shape):
         return rng.uniform(-0.1, 0.1, size=shape)
 
-    return LSTMParams(
-        E=u(vocab_size, d_embed),
-        W_i=u(d_hidden, d_embed), W_f=u(d_hidden, d_embed),
-        W_o=u(d_hidden, d_embed), W_c=u(d_hidden, d_embed),
-        U_i=u(d_hidden, d_hidden), U_f=u(d_hidden, d_hidden),
-        U_o=u(d_hidden, d_hidden), U_c=u(d_hidden, d_hidden),
-        b_i=u(d_hidden), b_f=np.ones(d_hidden), b_o=u(d_hidden), b_c=u(d_hidden),
-        w_out=u(d_hidden), b_out=float(u(1)[0]),
-    )
+    # draw order: E, the W blocks, the U blocks, then the i, o, c biases
+    E = u(vocab_size, d_embed)
+    W = np.concatenate([u(d_hidden, d_embed) for _ in GATES])
+    U = np.concatenate([u(d_hidden, d_hidden) for _ in GATES])
+    b_i = u(d_hidden)
+    b = np.concatenate([b_i, np.ones(d_hidden), u(d_hidden), u(d_hidden)])
+    return LSTMParams(E=E, W=W, U=U, b=b, w_out=u(d_hidden), b_out=float(u(1)[0]))
 
 
 def _sigmoid(z):
-    e = np.exp(-np.abs(z))  # only the safe exponent is ever evaluated
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # only the safe exponent, exp(-|z|), is ever evaluated
+    d = e + 1.0
+    out = np.divide(e, d)
+    np.divide(1.0, d, out=out, where=z >= 0)
+    return out
 
 
 def lstm_forward(indices, params: LSTMParams):
     """Run the recurrence over a non-empty token-index sequence.
 
-    Returns (score, cache); the cache holds every per-step activation needed
-    by lstm_backward.
+    Returns (score, cache); the cache holds the per-step activations needed
+    by lstm_backward as arrays: the embedding rows (n x d_e), gates
+    (n x 4*d_h, activated), H and C ((n+1) x d_h, row 0 the zero initial
+    state) and tanh_C (n x d_h).
     """
-    if len(indices) == 0:
+    n = len(indices)
+    if n == 0:
         raise ValueError("sequence must be non-empty")
-    d_h = params.d_hidden
-    h = np.zeros(d_h)
-    c = np.zeros(d_h)
-    steps = []
     for t, idx in enumerate(indices):
         if not 0 <= idx < params.vocab_size:
             raise IndexOutOfVocabulary(f"token index {idx} at position {t}")
-        e = params.E[idx]
-        i = _sigmoid(params.W_i @ e + params.U_i @ h + params.b_i)
-        f = _sigmoid(params.W_f @ e + params.U_f @ h + params.b_f)
-        o = _sigmoid(params.W_o @ e + params.U_o @ h + params.b_o)
-        c_tilde = np.tanh(params.W_c @ e + params.U_c @ h + params.b_c)
-        c_new = f * c + i * c_tilde
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        steps.append({"idx": idx, "e": e, "h_prev": h, "c_prev": c,
-                      "i": i, "f": f, "o": o, "c_tilde": c_tilde,
-                      "c": c_new, "tanh_c": tanh_c, "h": h_new})
-        h, c = h_new, c_new
-    score = float(np.tanh(params.w_out @ h + params.b_out))
-    cache = {"steps": steps, "score": score, "h_final": h, "params": params}
+    d_h = params.d_hidden
+    s3 = 3 * d_h
+    W, U, b = params.W, params.U, params.b
+    rows = params.E[np.asarray(indices)]
+    gates = np.empty((n, 4 * d_h))
+    H = np.zeros((n + 1, d_h))
+    C = np.zeros((n + 1, d_h))
+    tanh_C = np.empty((n, d_h))
+    G4 = gates.reshape(n, len(GATES), d_h)
+    for t in range(n):
+        # One matvec per stacked matrix, summed in the per-gate kernel's
+        # order, so forward scores equal its scores bit for bit. A single
+        # (n x d_e) @ W.T product for all steps goes through a matrix-matrix
+        # kernel that returns +-inf where these matvecs return nan on
+        # overflow (inf - inf); lr=1e308 training then ran on with infinite
+        # weights instead of stopping with DivergenceDetected.
+        a = W @ rows[t]
+        a += U @ H[t]
+        a += b
+        g = gates[t]
+        g[:s3] = _sigmoid(a[:s3])
+        i, f, o, c_tilde = G4[t]
+        np.tanh(a[s3:], out=c_tilde)
+        c = np.multiply(f, C[t], out=C[t + 1])
+        c += i * c_tilde
+        np.multiply(o, np.tanh(c, out=tanh_C[t]), out=H[t + 1])
+    score = float(np.tanh(params.w_out @ H[n] + params.b_out))
+    cache = {"indices": indices, "rows": rows, "gates": gates, "H": H, "C": C, "tanh_C": tanh_C,
+             "score": score, "params": params}
     return score, cache
 
 
@@ -117,18 +131,9 @@ def lstm_loss(score: float, label: float) -> float:
 @dataclass
 class LSTMGrads:
     E: np.ndarray
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    U_i: np.ndarray
-    U_f: np.ndarray
-    U_o: np.ndarray
-    U_c: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
     w_out: np.ndarray
     b_out: float
 
@@ -149,64 +154,49 @@ class LSTMGrads:
 
 
 def lstm_backward(cache, label: float) -> LSTMGrads:
-    """Exact gradients of (score - label)^2 via BPTT over the full sequence."""
-    params: LSTMParams = cache["params"]
-    steps = cache["steps"]
-    score = cache["score"]
-    d_h, d_e = params.d_hidden, params.d_embed
+    """Exact gradients of (score - label)^2 via BPTT over the full sequence.
 
-    g = LSTMGrads(
-        E=np.zeros_like(params.E),
-        W_i=np.zeros((d_h, d_e)), W_f=np.zeros((d_h, d_e)),
-        W_o=np.zeros((d_h, d_e)), W_c=np.zeros((d_h, d_e)),
-        U_i=np.zeros((d_h, d_h)), U_f=np.zeros((d_h, d_h)),
-        U_o=np.zeros((d_h, d_h)), U_c=np.zeros((d_h, d_h)),
-        b_i=np.zeros(d_h), b_f=np.zeros(d_h), b_o=np.zeros(d_h), b_c=np.zeros(d_h),
-        w_out=np.zeros(d_h), b_out=0.0,
-    )
+    Each step fills one row of DA, the gradient at the stacked gate
+    pre-activations; the weight gradients are then three products over all
+    steps at once.
+    """
+    params: LSTMParams = cache["params"]
+    indices = cache["indices"]
+    gates, H, C, tanh_C = cache["gates"], cache["H"], cache["C"], cache["tanh_C"]
+    score = cache["score"]
+    n, d_h = len(gates), params.d_hidden
+    s3 = 3 * d_h
+    i, f, o, c_tilde = (gates[:, k * d_h:(k + 1) * d_h] for k in range(len(GATES)))
+    UT = params.U.T
+
+    # Per-step factors that do not depend on the backward state: the
+    # gradient at the stacked pre-activations is DA[t] = Q[t] * [dc, dc, dh, dc]
+    # and dc picks up dh * O[t] from the output gate.
+    D = gates * (1.0 - gates)
+    D[:, s3:] = 1.0 - c_tilde * c_tilde
+    Q = np.concatenate((c_tilde, C[:-1], tanh_C, i), axis=1)
+    Q *= D
+    O = o * (1.0 - tanh_C * tanh_C)
 
     # head: score = tanh(w_out . h_T + b_out)
     d_pre_out = 2.0 * (score - label) * (1.0 - score * score)
-    g.w_out += d_pre_out * cache["h_final"]
-    g.b_out += d_pre_out
-
+    DA = np.empty((n, 4 * d_h))
     dh = d_pre_out * params.w_out
     dc = np.zeros(d_h)
-    for step in reversed(steps):
-        i, f, o = step["i"], step["f"], step["o"]
-        c_tilde, tanh_c = step["c_tilde"], step["tanh_c"]
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * c_tilde
-        df = dc * step["c_prev"]
-        dc_tilde = dc * i
+    for t in range(n - 1, -1, -1):
+        dc = dc + dh * O[t]
+        da = DA[t]
+        np.multiply(Q[t], np.concatenate((dc, dc, dh, dc)), out=da)
+        dh = UT @ da
+        dc = dc * f[t]
 
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
-        da_o = do * o * (1.0 - o)
-        da_c = dc_tilde * (1.0 - c_tilde * c_tilde)
-
-        e, h_prev = step["e"], step["h_prev"]
-        g.W_i += np.outer(da_i, e)
-        g.W_f += np.outer(da_f, e)
-        g.W_o += np.outer(da_o, e)
-        g.W_c += np.outer(da_c, e)
-        g.U_i += np.outer(da_i, h_prev)
-        g.U_f += np.outer(da_f, h_prev)
-        g.U_o += np.outer(da_o, h_prev)
-        g.U_c += np.outer(da_c, h_prev)
-        g.b_i += da_i
-        g.b_f += da_f
-        g.b_o += da_o
-        g.b_c += da_c
-        g.E[step["idx"]] += (
-            params.W_i.T @ da_i + params.W_f.T @ da_f
-            + params.W_o.T @ da_o + params.W_c.T @ da_c
-        )
-
-        dh = params.U_i.T @ da_i + params.U_f.T @ da_f + params.U_o.T @ da_o + params.U_c.T @ da_c
-        dc = dc * f
-    return g
+    gE = np.zeros(params.E.shape)
+    for idx, row in zip(indices, DA @ params.W):
+        gE[idx] += row
+    return LSTMGrads(
+        E=gE, W=DA.T @ cache["rows"], U=DA.T @ H[:-1], b=DA.sum(axis=0),
+        w_out=d_pre_out * H[n], b_out=d_pre_out,
+    )
 
 
 def lstm_train(corpus, params: LSTMParams, lr: float = 0.05, epochs: int = 50,
@@ -214,31 +204,38 @@ def lstm_train(corpus, params: LSTMParams, lr: float = 0.05, epochs: int = 50,
     """Plain per-sample SGD over (index sequence, label in {-1, +1}) pairs.
 
     The per-epoch visit order is a seeded shuffle; gradient clipping (on the
-    gradient infinity norm) is off unless clip_threshold is given. Returns
-    (trained params, mean loss per epoch). Raises DivergenceDetected when the
-    loss stops being finite.
+    gradient infinity norm) is off unless clip_threshold is given, and then
+    it must be finite and positive (InvalidConfig). Returns (trained params,
+    mean loss per epoch). Raises EmptyCorpus for an empty corpus and
+    DivergenceDetected when the loss stops being finite; the overflow that
+    causes it is reported that way, not as warnings.
     """
+    if clip_threshold is not None and not (math.isfinite(clip_threshold) and clip_threshold > 0):
+        raise InvalidConfig(f"clip_threshold must be finite and positive, got {clip_threshold!r}")
+    n = len(corpus)
+    if n == 0:
+        raise EmptyCorpus("no training sequences")
     params = params.copy()
     rng = np.random.default_rng(seed)
-    n = len(corpus)
     epoch_losses = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for k in order:
-            indices, label = corpus[k]
-            score, cache = lstm_forward(indices, params)
-            loss = lstm_loss(score, label)
-            if not np.isfinite(loss):
-                raise DivergenceDetected(f"loss became {loss}")
-            total += loss
-            grads = lstm_backward(cache, label)
-            if clip_threshold is not None:
-                norm = grads.inf_norm()
-                if norm > clip_threshold:
-                    grads.scale(clip_threshold / norm)
-            _apply_sgd(params, grads, lr)
-        epoch_losses.append(total / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for k in order:
+                indices, label = corpus[k]
+                score, cache = lstm_forward(indices, params)
+                loss = lstm_loss(score, label)
+                if not np.isfinite(loss):
+                    raise DivergenceDetected(f"loss became {loss}")
+                total += loss
+                grads = lstm_backward(cache, label)
+                if clip_threshold is not None:
+                    norm = grads.inf_norm()
+                    if norm > clip_threshold:
+                        grads.scale(clip_threshold / norm)
+                _apply_sgd(params, grads, lr)
+            epoch_losses.append(total / n)
     return params, epoch_losses
 
 

@@ -14,11 +14,15 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import ModelFormatError
-from .lstm import LSTMParams
+from .lstm import GATES, LSTMParams
 from .sentiment import DTModel, DTNode, LRModel, NBModel
 
 FORMAT = "dishrec-model"
 VERSION = 1
+
+# An LSTM document stores each stacked matrix as one key per gate block, in
+# GATES order: W -> W_i, W_f, W_o, W_c; likewise U and b.
+_LSTM_GATE_KEYS = {name: tuple(f"{name}_{gate}" for gate in GATES) for name in ("W", "U", "b")}
 
 
 def _arr(a):
@@ -96,9 +100,10 @@ def save_model(model, path, vocab: Vocabulary | None = None, seed=None):
             "hyperparameters": {"d_embed": model.d_embed, "d_hidden": model.d_hidden},
             "vocabulary": _vocab_doc(vocab),
             "params": {
-                name: (_arr(getattr(model, name)) if name != "b_out" else model.b_out)
-                for name in ("E", "W_i", "W_f", "W_o", "W_c", "U_i", "U_f", "U_o", "U_c",
-                             "b_i", "b_f", "b_o", "b_c", "w_out", "b_out")
+                "E": _arr(model.E), "w_out": _arr(model.w_out), "b_out": model.b_out,
+                **{key: _arr(block)
+                   for name, keys in _LSTM_GATE_KEYS.items()
+                   for key, block in zip(keys, np.split(getattr(model, name), len(GATES)))},
             },
         }
     else:
@@ -143,10 +148,39 @@ def load_model(path):
                        hyper["min_samples_leaf"], hyper["n_features"]), vocab
     if kind == "lstm":
         vocab = _vocab_from_doc(doc["vocabulary"])
-        kwargs = {
-            name: (np.array(params[name]) if name != "b_out" else float(params[name]))
-            for name in ("E", "W_i", "W_f", "W_o", "W_c", "U_i", "U_f", "U_o", "U_c",
-                         "b_i", "b_f", "b_o", "b_c", "w_out", "b_out")
-        }
-        return LSTMParams(**kwargs), vocab
+        return _lstm_from_doc(params), vocab
     raise ModelFormatError(f"unknown model kind {kind!r}")
+
+
+def _lstm_array(params, key, ndim):
+    if key not in params:
+        raise ModelFormatError(f"lstm document lacks {key!r}")
+    try:
+        a = np.array(params[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ModelFormatError(f"lstm {key!r} is not a numeric array") from None
+    if a.ndim != ndim:
+        raise ModelFormatError(f"lstm {key!r} must be {ndim}-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ModelFormatError(f"lstm {key!r} has a non-finite value")
+    return a
+
+
+def _lstm_from_doc(params):
+    """Stack the per-gate blocks, checking every shape against E and w_out."""
+    E = _lstm_array(params, "E", 2)
+    w_out = _lstm_array(params, "w_out", 1)
+    b_out = _lstm_array(params, "b_out", 0)
+    d_h, d_e = len(w_out), E.shape[1]
+    expected = {"W": (d_h, d_e), "U": (d_h, d_h), "b": (d_h,)}
+    stacked = {}
+    for name, keys in _LSTM_GATE_KEYS.items():
+        blocks = []
+        for key in keys:
+            block = _lstm_array(params, key, len(expected[name]))
+            if block.shape != expected[name]:
+                raise ModelFormatError(
+                    f"lstm {key!r} has shape {block.shape}, expected {expected[name]}")
+            blocks.append(block)
+        stacked[name] = np.concatenate(blocks)
+    return LSTMParams(E=E, w_out=w_out, b_out=float(b_out), **stacked)

@@ -127,29 +127,33 @@ def _sig(z):
 
 
 def lstm_reference_score(indices, params):
-    """Scalar step-by-step recurrence evaluation (no vectorization)."""
-    d_h = len(params.b_i)
+    """Scalar step-by-step recurrence evaluation (no vectorization).
+
+    Reads gate k of the stacked W, U and b as rows k*d_h .. (k+1)*d_h - 1.
+    """
+    d_h = len(params.w_out)
     d_e = params.E.shape[1]
     h = [0.0] * d_h
     c = [0.0] * d_h
 
-    def gate(W, U, b, e, h_prev, act):
+    def gate(k, e, h_prev, act):
         out = []
         for r in range(d_h):
-            z = b[r]
+            row = k * d_h + r
+            z = params.b[row]
             for q in range(d_e):
-                z += W[r][q] * e[q]
+                z += params.W[row][q] * e[q]
             for q in range(d_h):
-                z += U[r][q] * h_prev[q]
+                z += params.U[row][q] * h_prev[q]
             out.append(act(z))
         return out
 
     for idx in indices:
         e = [params.E[idx][q] for q in range(d_e)]
-        i = gate(params.W_i, params.U_i, params.b_i, e, h, _sig)
-        f = gate(params.W_f, params.U_f, params.b_f, e, h, _sig)
-        o = gate(params.W_o, params.U_o, params.b_o, e, h, _sig)
-        g = gate(params.W_c, params.U_c, params.b_c, e, h, math.tanh)
+        i = gate(0, e, h, _sig)
+        f = gate(1, e, h, _sig)
+        o = gate(2, e, h, _sig)
+        g = gate(3, e, h, math.tanh)
         c = [f[r] * c[r] + i[r] * g[r] for r in range(d_h)]
         h = [o[r] * math.tanh(c[r]) for r in range(d_h)]
     z = params.b_out
@@ -492,3 +496,133 @@ def run_benchmark_reference(corpus, methods, seed=0, train_fraction=0.8, relevan
             tp=tp, fp=fp, fn=fn, tn=tn, seed=seed,
         ))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# LSTM trainer with one weight matrix per gate: the implementation the
+# stacked-gate kernel in dishrec.lstm replaced. Parameters live in a
+# namespace with E, W_i..W_c, U_i..U_c, b_i..b_c, w_out and b_out (the
+# per-gate names are also the keys of a saved LSTM document). Each step does
+# eight gate matmuls forward and eight outer products backward and keeps its
+# activations in a dict.
+
+LSTM_REFERENCE_PARAMS = ("E", "W_i", "W_f", "W_o", "W_c", "U_i", "U_f", "U_o", "U_c",
+                         "b_i", "b_f", "b_o", "b_c", "w_out", "b_out")
+
+
+def lstm_init_reference(vocab_size, d_embed=16, d_hidden=16, seed=0):
+    """Per-gate initial parameters, drawn in the original order."""
+    rng = np.random.default_rng(seed)
+
+    def u(*shape):
+        return rng.uniform(-0.1, 0.1, size=shape)
+
+    return SimpleNamespace(
+        E=u(vocab_size, d_embed),
+        W_i=u(d_hidden, d_embed), W_f=u(d_hidden, d_embed),
+        W_o=u(d_hidden, d_embed), W_c=u(d_hidden, d_embed),
+        U_i=u(d_hidden, d_hidden), U_f=u(d_hidden, d_hidden),
+        U_o=u(d_hidden, d_hidden), U_c=u(d_hidden, d_hidden),
+        b_i=u(d_hidden), b_f=np.ones(d_hidden), b_o=u(d_hidden), b_c=u(d_hidden),
+        w_out=u(d_hidden), b_out=float(u(1)[0]),
+    )
+
+
+def lstm_per_gate(params):
+    """Copy stacked LSTMParams into a per-gate namespace."""
+    d_h = len(params.w_out)
+    out = SimpleNamespace(E=params.E.copy(), w_out=params.w_out.copy(), b_out=params.b_out)
+    for stacked in ("W", "U", "b"):
+        full = getattr(params, stacked)
+        for k, gate in enumerate("ifoc"):
+            setattr(out, f"{stacked}_{gate}", full[k * d_h:(k + 1) * d_h].copy())
+    return out
+
+
+def _ref_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def lstm_forward_reference(indices, p):
+    d_h = len(p.b_i)
+    h = np.zeros(d_h)
+    c = np.zeros(d_h)
+    steps = []
+    for idx in indices:
+        e = p.E[idx]
+        i = _ref_sigmoid(p.W_i @ e + p.U_i @ h + p.b_i)
+        f = _ref_sigmoid(p.W_f @ e + p.U_f @ h + p.b_f)
+        o = _ref_sigmoid(p.W_o @ e + p.U_o @ h + p.b_o)
+        c_tilde = np.tanh(p.W_c @ e + p.U_c @ h + p.b_c)
+        c_new = f * c + i * c_tilde
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        steps.append({"idx": idx, "e": e, "h_prev": h, "c_prev": c,
+                      "i": i, "f": f, "o": o, "c_tilde": c_tilde,
+                      "c": c_new, "tanh_c": tanh_c, "h": h_new})
+        h, c = h_new, c_new
+    score = float(np.tanh(p.w_out @ h + p.b_out))
+    return score, {"steps": steps, "score": score, "h_final": h, "params": p}
+
+
+def lstm_backward_reference(cache, label):
+    """Gradients as a dict keyed by LSTM_REFERENCE_PARAMS."""
+    p = cache["params"]
+    score = cache["score"]
+    g = {name: np.zeros_like(getattr(p, name)) for name in LSTM_REFERENCE_PARAMS[:-1]}
+    d_pre_out = 2.0 * (score - label) * (1.0 - score * score)
+    g["w_out"] += d_pre_out * cache["h_final"]
+    g["b_out"] = 0.0 + d_pre_out
+
+    dh = d_pre_out * p.w_out
+    dc = np.zeros(len(p.b_i))
+    for step in reversed(cache["steps"]):
+        i, f, o = step["i"], step["f"], step["o"]
+        c_tilde, tanh_c = step["c_tilde"], step["tanh_c"]
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        da = {
+            "i": dc * c_tilde * i * (1.0 - i),
+            "f": dc * step["c_prev"] * f * (1.0 - f),
+            "o": do * o * (1.0 - o),
+            "c": dc * i * (1.0 - c_tilde * c_tilde),
+        }
+        for gate in "ifoc":
+            g["W_" + gate] += np.outer(da[gate], step["e"])
+            g["U_" + gate] += np.outer(da[gate], step["h_prev"])
+            g["b_" + gate] += da[gate]
+        g["E"][step["idx"]] += (p.W_i.T @ da["i"] + p.W_f.T @ da["f"]
+                                + p.W_o.T @ da["o"] + p.W_c.T @ da["c"])
+        dh = p.U_i.T @ da["i"] + p.U_f.T @ da["f"] + p.U_o.T @ da["o"] + p.U_c.T @ da["c"]
+        dc = dc * f
+    return g
+
+
+def lstm_train_reference(corpus, params, lr=0.05, epochs=50, seed=0, clip_threshold=None):
+    """Per-sample SGD on a per-gate namespace; returns (namespace, epoch losses)."""
+    p = SimpleNamespace(**{name: (v.copy() if isinstance(v, np.ndarray) else v)
+                           for name, v in vars(params).items()})
+    rng = np.random.default_rng(seed)
+    n = len(corpus)
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            total = 0.0
+            for k in rng.permutation(n):
+                indices, label = corpus[k]
+                score, cache = lstm_forward_reference(indices, p)
+                loss = (score - label) ** 2
+                if not np.isfinite(loss):
+                    raise DivergenceDetected(f"loss became {loss}")
+                total += loss
+                g = lstm_backward_reference(cache, label)
+                if clip_threshold is not None:
+                    norm = max([abs(g["b_out"])] + [float(np.max(np.abs(g[name])))
+                                                    for name in LSTM_REFERENCE_PARAMS[:-1]])
+                    if norm > clip_threshold:
+                        g = {name: v * (clip_threshold / norm) for name, v in g.items()}
+                for name in LSTM_REFERENCE_PARAMS:
+                    setattr(p, name, getattr(p, name) - lr * g[name])
+            losses.append(total / n)
+    return p, losses

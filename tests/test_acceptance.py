@@ -161,8 +161,7 @@ def test_criterion_05_gradient_checks():
                 s, _ = lstm_forward(seq, p)
                 return lstm_loss(s, label)
 
-            for name in ("E", "W_i", "W_f", "W_o", "W_c", "U_i", "U_f", "U_o", "U_c",
-                         "b_i", "b_f", "b_o", "b_c", "w_out", "b_out"):
+            for name in ("E", "W", "U", "b", "w_out", "b_out"):  # W, U, b: all four gates
                 analytic = getattr(grads, name)
                 if name == "b_out":
                     hi, lo = params.copy(), params.copy()

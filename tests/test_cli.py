@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -140,6 +141,19 @@ class TestTrainSentiment:
         ])
         assert code == 3
         assert "non-finite" in err
+        assert not out.exists()
+
+    def test_lstm_divergence_exits_3_without_warnings(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, [
+                "train-sentiment", "--model", "lstm", "--corpus", str(corpus_dir),
+                "--labels", "manual", "--epochs", "2", "--lr", "1e308", "--out", str(out),
+            ])
+        assert code == 3
+        assert "loss became nan" in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
 

@@ -1,8 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import oracles
+from dishrec import lstm
 from dishrec.corpus import POSITIVE, NEGATIVE
-from dishrec.errors import IndexOutOfVocabulary
+from dishrec.errors import DivergenceDetected, EmptyCorpus, IndexOutOfVocabulary, InvalidConfig
 from dishrec.evalx import f_score
 from dishrec.lstm import (
     init_params,
@@ -13,10 +18,15 @@ from dishrec.lstm import (
 )
 from dishrec.synth import separable_sequences
 
-from oracles import lstm_reference_score
+from oracles import (
+    LSTM_REFERENCE_PARAMS,
+    lstm_init_reference,
+    lstm_per_gate,
+    lstm_reference_score,
+    lstm_train_reference,
+)
 
-PARAM_NAMES = ("E", "W_i", "W_f", "W_o", "W_c", "U_i", "U_f", "U_o", "U_c",
-               "b_i", "b_f", "b_o", "b_c", "w_out", "b_out")
+PARAM_NAMES = ("E", "W", "U", "b", "w_out", "b_out")
 
 
 def zero_params(vocab_size=3, d_e=2, d_h=2):
@@ -52,16 +62,17 @@ class TestForward:
             assert score == pytest.approx(lstm_reference_score(seq, params), abs=1e-12)
 
     def test_index_out_of_vocabulary(self):
-        with pytest.raises(IndexOutOfVocabulary):
+        with pytest.raises(IndexOutOfVocabulary, match="token index 7 at position 0"):
             lstm_forward([7], init_params(3, 2, 2, seed=0))
+        with pytest.raises(IndexOutOfVocabulary, match="token index -1 at position 2"):
+            lstm_forward([0, 1, -1], init_params(3, 2, 2, seed=0))
 
     def test_gates_strictly_inside_unit_interval(self):
         params = init_params(4, 3, 3, seed=2)
         _, cache = lstm_forward([0, 1, 2, 3], params)
-        for step in cache["steps"]:
-            for gate in ("i", "f", "o"):
-                assert (step[gate] > 0.0).all() and (step[gate] < 1.0).all()
-            assert np.isfinite(step["c"]).all() and np.isfinite(step["h"]).all()
+        sigmoid_gates = cache["gates"][:, :3 * params.d_hidden]  # i, f, o blocks
+        assert (sigmoid_gates > 0.0).all() and (sigmoid_gates < 1.0).all()
+        assert np.isfinite(cache["C"]).all() and np.isfinite(cache["H"]).all()
 
     def test_forward_deterministic(self):
         params = init_params(4, 3, 3, seed=3)
@@ -80,8 +91,8 @@ class TestBackward:
         params = init_params(4, 2, 3, seed=5)
         _, cache = lstm_forward([2], params)
         grads = lstm_backward(cache, -1.0)
-        for name in ("U_i", "U_f", "U_o", "U_c"):
-            assert np.all(getattr(grads, name) == 0.0)
+        assert grads.U.shape == (4 * 3, 3)
+        assert np.all(grads.U == 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradients_match_finite_differences(self, seed):
@@ -147,7 +158,7 @@ class TestTraining:
 
     def test_forget_bias_initialized_to_one(self):
         params = init_params(5, 4, 4, seed=6)
-        assert np.all(params.b_f == 1.0)
+        assert np.all(params.b[4:8] == 1.0)  # the f block of the stacked bias
         assert np.all(np.abs(params.E) <= 0.1)
 
     def test_separable_corpus_reaches_f_score(self):
@@ -161,3 +172,103 @@ class TestTraining:
             preds.append(POSITIVE if score > 0 else NEGATIVE)
             golds.append(POSITIVE if label > 0 else NEGATIVE)
         assert f_score(preds, golds) >= 0.9
+
+
+def assert_matches_reference(trained, losses, ref, ref_losses, tol=1e-12):
+    """Every parameter and every epoch loss within tol (absolute) of the
+    per-gate reference trainer."""
+    assert len(losses) == len(ref_losses)
+    for a, b in zip(losses, ref_losses):
+        assert abs(a - b) <= tol
+    split = lstm_per_gate(trained)
+    for name in LSTM_REFERENCE_PARAMS:
+        got, want = np.asarray(getattr(split, name)), np.asarray(getattr(ref, name))
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= tol, name
+
+
+class TestStackedLayout:
+    @pytest.mark.parametrize("d_e,d_h", [(1, 1), (2, 5), (5, 3), (16, 16)])
+    def test_init_draws_the_per_gate_values(self, d_e, d_h):
+        stacked = init_params(7, d_e, d_h, seed=11)
+        assert stacked.W.shape == (4 * d_h, d_e) and stacked.U.shape == (4 * d_h, d_h)
+        assert (stacked.d_embed, stacked.d_hidden) == (d_e, d_h)
+        split = lstm_per_gate(stacked)
+        ref = lstm_init_reference(7, d_e, d_h, seed=11)
+        for name in LSTM_REFERENCE_PARAMS:
+            assert np.array_equal(getattr(split, name), getattr(ref, name)), name
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("seed,d_e,d_h", [
+        (0, 1, 1), (1, 2, 5), (2, 5, 3), (3, 3, 2), (4, 4, 1), (5, 16, 16),
+    ])
+    def test_matches_reference_trainer(self, seed, d_e, d_h):
+        train, _, _ = separable_sequences(seed, n_train=30, n_test=2, vocab_size=8,
+                                          min_len=1, max_len=6)
+        params = init_params(8, d_e, d_h, seed=seed)
+        trained, losses = lstm_train(train, params, lr=0.05, epochs=4, seed=seed)
+        ref, ref_losses = lstm_train_reference(train, lstm_per_gate(params), lr=0.05,
+                                               epochs=4, seed=seed)
+        assert_matches_reference(trained, losses, ref, ref_losses)
+
+    def test_length_one_and_repeated_tokens(self):
+        corpus = [([2], 1.0), ([3, 3, 3], -1.0), ([0], -1.0), ([4, 4], 1.0),
+                  ([1, 4, 1, 4, 1], 1.0), ([5], 1.0), ([5, 5, 5, 5, 5, 5], -1.0)]
+        params = init_params(6, 3, 4, seed=8)
+        trained, losses = lstm_train(corpus, params, lr=0.1, epochs=6, seed=8)
+        ref, ref_losses = lstm_train_reference(corpus, lstm_per_gate(params), lr=0.1,
+                                               epochs=6, seed=8)
+        assert_matches_reference(trained, losses, ref, ref_losses)
+
+    def test_clipping_matches_reference(self):
+        train, _, _ = separable_sequences(6, n_train=25, n_test=2, vocab_size=6, max_len=5)
+        params = init_params(6, 4, 3, seed=6)
+        trained, losses = lstm_train(train, params, lr=0.2, epochs=3, seed=6,
+                                     clip_threshold=0.02)
+        ref, ref_losses = lstm_train_reference(train, lstm_per_gate(params), lr=0.2,
+                                               epochs=3, seed=6, clip_threshold=0.02)
+        assert_matches_reference(trained, losses, ref, ref_losses)
+        unclipped, _ = lstm_train(train, params, lr=0.2, epochs=3, seed=6)
+        assert np.max(np.abs(unclipped.W - trained.W)) > 1e-3  # the clip did bind
+
+    @pytest.mark.parametrize("seed,d,sample", [(4, 16, 2), (5, 8, 3), (5, 16, 3)])
+    def test_divergence_at_the_same_epoch_and_sample(self, monkeypatch, seed, d, sample):
+        train, _, _ = separable_sequences(seed, n_train=12, n_test=2, vocab_size=6, max_len=5)
+        params = init_params(6, d, d, seed=seed)
+        calls = {"stacked": 0, "reference": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(lstm, "lstm_forward", counting("stacked", lstm.lstm_forward))
+        monkeypatch.setattr(oracles, "lstm_forward_reference",
+                            counting("reference", oracles.lstm_forward_reference))
+        with pytest.raises(DivergenceDetected):
+            lstm_train(train, params, lr=1e308, epochs=3, seed=seed)
+        with pytest.raises(DivergenceDetected):
+            lstm_train_reference(train, lstm_per_gate(params), lr=1e308, epochs=3, seed=seed)
+        assert calls["stacked"] == calls["reference"] == sample  # all in epoch 1
+
+
+class TestTrainingArguments:
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_bad_clip_threshold_is_invalid_config(self, threshold):
+        train, _, _ = separable_sequences(3, n_train=5, n_test=2, vocab_size=8, max_len=6)
+        with pytest.raises(InvalidConfig, match="clip_threshold"):
+            lstm_train(train, init_params(8, 4, 4, seed=3), epochs=1, clip_threshold=threshold)
+
+    def test_empty_corpus(self):
+        with pytest.raises(EmptyCorpus):
+            lstm_train([], init_params(8, 4, 4, seed=3), epochs=1)
+
+    def test_divergence_raises_without_warnings(self):
+        train, _, _ = separable_sequences(5, n_train=12, n_test=2, vocab_size=6, max_len=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceDetected, match="loss became nan"):
+                lstm_train(train, init_params(6, 8, 8, seed=5), lr=1e308, epochs=3, seed=5)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
