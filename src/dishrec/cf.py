@@ -9,7 +9,7 @@ neighborhood formulas plus a positive-count baseline.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +45,12 @@ class RatingMatrix:
     """Users x (restaurant, item) columns of ratings in [1, 5].
 
     Read-only after construction: the per-user and per-column means, the
-    global mean and the item -> columns index are built once, in
-    ``__post_init__``, and would go stale if ``ratings`` or ``mask`` changed.
+    global mean, the item -> columns index and the rating entries are built
+    once, in ``__post_init__``, and would go stale if ``ratings`` or
+    ``mask`` changed. The entries are per user ``(column, rating)`` and per
+    column ``(user, rating)``, both in index order; ``user_columns`` and
+    ``column_users`` hold the same indices as integer arrays, so a query
+    fetches all its candidates' similarities in one numpy call.
     """
 
     user_ids: list[str]
@@ -62,14 +66,22 @@ class RatingMatrix:
             self.item_columns.setdefault(item_id, []).append(j)
         # 3.0, the midpoint of the rating scale, when nothing is rated
         self._global_mean = float(self.ratings[self.mask].mean()) if self.mask.any() else 3.0
-        self.user_means = np.array([
-            float(self.ratings[u, row].mean()) if row.any() else self._global_mean
-            for u, row in enumerate(self.mask)
-        ])
-        self.column_means = np.array([
-            float(self.ratings[col, j].mean()) if col.any() else self._global_mean
-            for j, col in enumerate(self.mask.T)
-        ])
+        self.user_entries: list[list[tuple[int, float]]] = [[] for _ in self.user_ids]
+        self.column_entries: list[list[tuple[int, float]]] = [[] for _ in self.columns]
+        rows, cols = np.nonzero(self.mask)
+        for u, j, r in zip(rows.tolist(), cols.tolist(), self.ratings[rows, cols].tolist()):
+            self.user_entries[u].append((j, r))
+            self.column_entries[j].append((u, r))
+        self.user_columns = [np.array([j for j, _ in e], dtype=np.intp)
+                             for e in self.user_entries]
+        self.column_users = [np.array([u for u, _ in e], dtype=np.intp)
+                             for e in self.column_entries]
+        # np.mean over the entries' ratings in index order: the same array,
+        # and so the same float, as the mean over the masked row or column
+        self.user_means = [float(np.mean([r for _, r in e])) if e else self._global_mean
+                           for e in self.user_entries]
+        self.column_means = [float(np.mean([r for _, r in e])) if e else self._global_mean
+                             for e in self.column_entries]
 
     @property
     def n_users(self):
@@ -80,10 +92,10 @@ class RatingMatrix:
         return len(self.columns)
 
     def user_mean(self, u: int) -> float:
-        return float(self.user_means[u])
+        return self.user_means[u]
 
     def column_mean(self, j: int) -> float:
-        return float(self.column_means[j])
+        return self.column_means[j]
 
     def global_mean(self) -> float:
         return self._global_mean
@@ -176,11 +188,12 @@ def column_similarity(matrix: RatingMatrix) -> np.ndarray:
     return _cosine_matrix(matrix.ratings.T)
 
 
-def _top_neighbors(sims, candidates, n_neighbors):
-    """Candidate indices ordered by |sim| descending, index ascending;
-    truncated to N."""
-    order = np.lexsort((candidates, -np.abs(sims[candidates])))
-    return candidates[order[:n_neighbors]]
+def _top_neighbors(sims, entries, skip, n_neighbors):
+    """``(-|sim|, index, sim, rating)`` of the ``(index, rating)`` entries
+    other than ``skip``, ordered by |sim| descending, index ascending;
+    truncated to N. ``sims`` holds one similarity per entry."""
+    ranked = sorted([(-abs(s), a, s, r) for (a, r), s in zip(entries, sims) if a != skip])
+    return ranked[:n_neighbors]
 
 
 def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarray,
@@ -202,23 +215,23 @@ def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarr
     m = matrix.column_index.get(column)
     if m is None:
         raise UnknownColumn(str(column))
-    if not matrix.mask[k].any():
+    if not matrix.user_entries[k]:
         return matrix.global_mean()
     base = matrix.user_mean(k)
-    raters = np.flatnonzero(matrix.mask[:, m])
-    neighbors = _top_neighbors(user_sims[k], raters[raters != k], n_neighbors)
-    sims = user_sims[k, neighbors].tolist()
-    denom = sum(abs(s) for s in sims)
+    neighbors = _top_neighbors(user_sims[k][matrix.column_users[m]].tolist(),
+                               matrix.column_entries[m], k, n_neighbors)
+    denom = sum(abs(s) for _, _, s, _ in neighbors)
     if denom == 0.0:
         pred = base
     else:
-        if center == "user":
-            centers = matrix.user_means[neighbors].tolist()
-        else:
-            centers = [matrix.column_mean(m)] * len(sims)
         num = 0.0
-        for s, r, c in zip(sims, matrix.ratings[neighbors, m].tolist(), centers):
-            num += s * (r - c)
+        if center == "user":
+            for _, a, s, r in neighbors:
+                num += s * (r - matrix.user_means[a])
+        else:
+            c = matrix.column_mean(m)
+            for _, _, s, r in neighbors:
+                num += s * (r - c)
         pred = base + num / denom
     return float(min(5.0, max(1.0, pred))) if clamp else float(pred)
 
@@ -233,14 +246,13 @@ def predict_item_item(user_id, column, matrix: RatingMatrix, column_sims: np.nda
     m = matrix.column_index.get(column)
     if m is None:
         raise UnknownColumn(str(column))
-    rated = np.flatnonzero(matrix.mask[k])
-    neighbors = _top_neighbors(column_sims[m], rated[rated != m], n_neighbors)
-    sims = column_sims[m, neighbors].tolist()
-    denom = sum(abs(s) for s in sims)
+    neighbors = _top_neighbors(column_sims[m][matrix.user_columns[k]].tolist(),
+                               matrix.user_entries[k], m, n_neighbors)
+    denom = sum(abs(s) for _, _, s, _ in neighbors)
     if denom == 0.0:
         pred = matrix.user_mean(k)
     else:
-        num = sum(s * r for s, r in zip(sims, matrix.ratings[k, neighbors].tolist()))
+        num = sum(s * r for _, _, s, r in neighbors)
         pred = num / denom
     return float(min(5.0, max(1.0, pred))) if clamp else float(pred)
 
@@ -302,9 +314,12 @@ class Recommender:
         for f in self.scored_fragments:
             self._item_fragments[f.item_id].append(f)
             self._restaurant_fragments[f.restaurant_id].append(f)
-        self._community_items = defaultdict(list)
-        for item_id, community in self.partition.items():
-            self._community_items[community].append(item_id)
+        # side-score table: community -> size, (community, restaurant) ->
+        # members with a positive fragment at the restaurant
+        self._community_size = Counter(self.partition.values())
+        self._community_positive = Counter(
+            (self.partition[i], rid) for rid, i in self._positive if i in self.partition
+        )
 
     def predict(self, user_id, column, method: str) -> float:
         if method == "user":
@@ -331,11 +346,12 @@ class Recommender:
         community = self.partition.get(item_id)
         if community is None:
             return 0.0
-        members = [i for i in self._community_items[community] if i != item_id]
+        members = self._community_size[community] - 1
         if not members:
             return 0.0
-        hits = sum(1 for i in members if (restaurant_id, i) in self._positive)
-        return hits / len(members)
+        hits = (self._community_positive[(community, restaurant_id)]
+                - ((restaurant_id, item_id) in self._positive))
+        return hits / members
 
     def recommend_top_k(self, user_id, item_id, method: str = "user", k: int = 10,
                         side_weight: float = 0.2) -> list[tuple[str, float]]:

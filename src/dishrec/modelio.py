@@ -9,10 +9,11 @@ reproduces predictions bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import NEGATIVE, POSITIVE, Vocabulary
 from .errors import ModelFormatError
 from .lstm import GATES, LSTMParams
 from .sentiment import DTModel, DTNode, LRModel, NBModel
@@ -33,9 +34,65 @@ def _vocab_doc(vocab: Vocabulary):
     return {"tokens": vocab.tokens, "min_count": vocab.min_count, "sha256": vocab.sha256()}
 
 
+def _field(obj, key, where):
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise ModelFormatError(f"{where} lacks {key!r}")
+    return obj[key]
+
+
+def _number(value, name):
+    """A finite JSON number, returned as it is."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{name} is not a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ModelFormatError(f"{name} is not finite")
+    return value
+
+
+def _integer(value, name):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFormatError(f"{name} is not an integer")
+    return value
+
+
+def _has_bool(value):
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(_has_bool(v) for v in value))
+
+
+def _array(value, name, shape):
+    """A finite float array of the given shape; None in ``shape`` matches
+    any length."""
+    try:
+        a = np.array(value)
+    except ValueError:  # ragged nesting
+        raise ModelFormatError(f"{name} is not a numeric array") from None
+    # numpy reads true/false among numbers as 1.0/0.0
+    if a.dtype.kind not in "iuf" or _has_bool(value):
+        raise ModelFormatError(f"{name} is not a numeric array")
+    if a.ndim != len(shape) or any(n not in (None, d) for n, d in zip(shape, a.shape)):
+        raise ModelFormatError(f"{name} has shape {a.shape}, expected {shape}")
+    a = a.astype(float)
+    if not np.isfinite(a).all():
+        raise ModelFormatError(f"{name} has a non-finite value")
+    return a
+
+
 def _vocab_from_doc(doc):
-    vocab = Vocabulary({t: i for i, t in enumerate(doc["tokens"])}, doc["min_count"])
-    if vocab.sha256() != doc["sha256"]:
+    tokens = _field(doc, "tokens", "vocabulary")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise ModelFormatError("vocabulary tokens are not a list of strings")
+    if len(set(tokens)) != len(tokens):
+        raise ModelFormatError("vocabulary tokens repeat")
+    min_count = _integer(_field(doc, "min_count", "vocabulary"), "vocabulary min_count")
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, min_count)
+    if vocab.sha256() != _field(doc, "sha256", "vocabulary"):
         raise ModelFormatError("vocabulary hash mismatch")
     return vocab
 
@@ -49,11 +106,20 @@ def _tree_doc(node: DTNode):
     return doc
 
 
-def _tree_from_doc(doc):
-    node = DTNode(doc.get("feature"), doc["label"], doc["n_pos"], doc["n_neg"])
+def _tree_from_doc(doc, n_features):
+    where = "dt tree node"
+    label = _field(doc, "label", where)
+    if label not in (POSITIVE, NEGATIVE):
+        raise ModelFormatError(f"dt node label {label!r} is not {POSITIVE!r} or {NEGATIVE!r}")
+    counts = [_integer(_field(doc, key, where), f"dt {key!r}") for key in ("n_pos", "n_neg")]
+    if min(counts) < 0:
+        raise ModelFormatError("dt node has a negative count")
+    node = DTNode(doc.get("feature"), label, *counts)
     if node.feature is not None:
-        node.left = _tree_from_doc(doc["left"])
-        node.right = _tree_from_doc(doc["right"])
+        if not 0 <= _integer(node.feature, "dt 'feature'") < n_features:
+            raise ModelFormatError(f"dt split feature {node.feature} outside [0, {n_features})")
+        node.left = _tree_from_doc(_field(doc, "left", where), n_features)
+        node.right = _tree_from_doc(_field(doc, "right", where), n_features)
     return node
 
 
@@ -119,68 +185,67 @@ def save_model(model, path, vocab: Vocabulary | None = None, seed=None):
 
 
 def load_model(path):
-    """Load a model document as (model, vocab)."""
+    """Load a model document as (model, vocab).
+
+    Raises ModelFormatError when a key is missing, a value has the wrong
+    type, or a parameter's shape does not fit the vocabulary.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ModelFormatError(f"not a {FORMAT} document")
     if doc.get("version") != VERSION:
         raise ModelFormatError(f"unsupported version {doc.get('version')!r}")
     kind = doc.get("kind")
-    params = doc["params"]
+    if kind not in ("nb", "lr", "dt", "lstm"):
+        raise ModelFormatError(f"unknown model kind {kind!r}")
+    vocab = _vocab_from_doc(_field(doc, "vocabulary", "document"))
+    params = _field(doc, "params", "document")
+    if kind == "lstm":
+        return _lstm_from_doc(params, len(vocab)), vocab
+    hyper = _field(doc, "hyperparameters", "document")
     if kind == "nb":
-        vocab = _vocab_from_doc(doc["vocabulary"])
+        priors = _field(params, "log_prior", "nb params")
+        likelihoods = _field(params, "log_likelihood", "nb params")
+        classes = (POSITIVE, NEGATIVE)
+        alpha = _number(_field(hyper, "alpha", "nb hyperparameters"), "nb 'alpha'")
+        if alpha <= 0:
+            raise ModelFormatError("nb 'alpha' must be > 0")
         model = NBModel(
-            log_prior={c: float(v) for c, v in params["log_prior"].items()},
-            log_likelihood={c: np.array(v) for c, v in params["log_likelihood"].items()},
-            alpha=doc["hyperparameters"]["alpha"],
+            log_prior={c: float(_number(_field(priors, c, "nb log_prior"), f"nb log_prior {c!r}"))
+                       for c in classes},
+            log_likelihood={c: _array(_field(likelihoods, c, "nb log_likelihood"),
+                                      f"nb log_likelihood {c!r}", (len(vocab),))
+                            for c in classes},
+            alpha=alpha,
             vocab=vocab,
         )
         return model, vocab
     if kind == "lr":
-        vocab = _vocab_from_doc(doc["vocabulary"])
-        return LRModel(np.array(params["weights"]), params["bias"],
-                       doc["hyperparameters"]["l2"]), vocab
-    if kind == "dt":
-        vocab = _vocab_from_doc(doc["vocabulary"])
-        hyper = doc["hyperparameters"]
-        return DTModel(_tree_from_doc(params["tree"]), hyper["max_depth"],
-                       hyper["min_samples_leaf"], hyper["n_features"]), vocab
-    if kind == "lstm":
-        vocab = _vocab_from_doc(doc["vocabulary"])
-        return _lstm_from_doc(params), vocab
-    raise ModelFormatError(f"unknown model kind {kind!r}")
+        weights = _array(_field(params, "weights", "lr params"), "lr 'weights'", (len(vocab),))
+        bias = _number(_field(params, "bias", "lr params"), "lr 'bias'")
+        l2 = _number(_field(hyper, "l2", "lr hyperparameters"), "lr 'l2'")
+        return LRModel(weights, bias, l2), vocab
+    max_depth, min_samples_leaf, n_features = (
+        _integer(_field(hyper, key, "dt hyperparameters"), f"dt {key!r}")
+        for key in ("max_depth", "min_samples_leaf", "n_features"))
+    if n_features != len(vocab):
+        raise ModelFormatError(f"dt n_features {n_features} != vocabulary size {len(vocab)}")
+    root = _tree_from_doc(_field(params, "tree", "dt params"), n_features)
+    return DTModel(root, max_depth, min_samples_leaf, n_features), vocab
 
 
-def _lstm_array(params, key, ndim):
-    if key not in params:
-        raise ModelFormatError(f"lstm document lacks {key!r}")
-    try:
-        a = np.array(params[key], dtype=float)
-    except (TypeError, ValueError):
-        raise ModelFormatError(f"lstm {key!r} is not a numeric array") from None
-    if a.ndim != ndim:
-        raise ModelFormatError(f"lstm {key!r} must be {ndim}-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ModelFormatError(f"lstm {key!r} has a non-finite value")
-    return a
+def _lstm_from_doc(params, vocab_size):
+    """Stack the per-gate blocks, checking every shape against the
+    vocabulary, E and w_out."""
+    def array(key, shape):
+        return _array(_field(params, key, "lstm document"), f"lstm {key!r}", shape)
 
-
-def _lstm_from_doc(params):
-    """Stack the per-gate blocks, checking every shape against E and w_out."""
-    E = _lstm_array(params, "E", 2)
-    w_out = _lstm_array(params, "w_out", 1)
-    b_out = _lstm_array(params, "b_out", 0)
+    E = array("E", (vocab_size, None))
+    w_out = array("w_out", (None,))
+    b_out = _number(_field(params, "b_out", "lstm document"), "lstm 'b_out'")
     d_h, d_e = len(w_out), E.shape[1]
     expected = {"W": (d_h, d_e), "U": (d_h, d_h), "b": (d_h,)}
-    stacked = {}
-    for name, keys in _LSTM_GATE_KEYS.items():
-        blocks = []
-        for key in keys:
-            block = _lstm_array(params, key, len(expected[name]))
-            if block.shape != expected[name]:
-                raise ModelFormatError(
-                    f"lstm {key!r} has shape {block.shape}, expected {expected[name]}")
-            blocks.append(block)
-        stacked[name] = np.concatenate(blocks)
+    stacked = {name: np.concatenate([array(key, expected[name]) for key in keys])
+               for name, keys in _LSTM_GATE_KEYS.items()}
     return LSTMParams(E=E, w_out=w_out, b_out=float(b_out), **stacked)

@@ -410,14 +410,18 @@ def _ref_baseline_predict(column, scored_fragments, fallback):
     return 1.0 + 4.0 * pos / total
 
 
-def _ref_side_score(engine, item_id, restaurant_id):
+def side_score_reference(engine, item_id, restaurant_id):
+    """``Recommender.side_score`` from the engine's partition and scored
+    fragments alone."""
     community = engine.partition.get(item_id)
     if community is None:
         return 0.0
     members = [i for i, c in engine.partition.items() if c == community and i != item_id]
     if not members:
         return 0.0
-    hits = sum(1 for i in members if (restaurant_id, i) in engine._positive)
+    positive_items = {f.item_id for f in engine.scored_fragments
+                      if f.restaurant_id == restaurant_id and f.score > 0.0}
+    hits = sum(1 for i in members if i in positive_items)
     return hits / len(members)
 
 
@@ -441,14 +445,14 @@ def recommend_top_k_reference(engine, user_id, item_id, method="user", k=10, sid
         raise UnknownItem(str(item_id))
     if method == "baseline":
         counts = _ref_positive_counts(item_id, engine.scored_fragments)
-        scored = [(rid, count + side_weight * _ref_side_score(engine, item_id, rid))
+        scored = [(rid, count + side_weight * side_score_reference(engine, item_id, rid))
                   for rid, count in counts.items()]
     else:
         scored = []
         for j in cols:
             column = engine.matrix.columns[j]
             value = predict_reference(engine, user_id, column, method)
-            side = _ref_side_score(engine, item_id, column[0])
+            side = side_score_reference(engine, item_id, column[0])
             scored.append((column[0], value + side_weight * side))
     scored.sort(key=lambda rs: (-rs[1], rs[0]))
     return scored[:k]

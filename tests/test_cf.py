@@ -30,6 +30,7 @@ from oracles import (
     predict_user_item_reference,
     recommend_top_k_reference,
     run_benchmark_reference,
+    side_score_reference,
     user_neighborhood_reference,
 )
 
@@ -294,6 +295,45 @@ class TestBuildMatrix:
         assert matrix.column_mean(1) == matrix.global_mean()
         assert matrix.user_mean(2) == matrix.global_mean()
 
+    def test_entries_match_the_mask(self):
+        rng = np.random.default_rng(5)
+        ratings = np.round(rng.uniform(1.0, 5.0, size=(6, 7)), 2)
+        mask = rng.uniform(size=(6, 7)) < 0.5
+        mask[2, :] = False  # a user who rated nothing
+        mask[:, 4] = False  # a column nobody rated
+        mask[0, 0] = True
+        ratings[~mask] = 0.0
+        matrix = RatingMatrix([f"u{u}" for u in range(6)], [(f"r{j}", j % 3) for j in range(7)],
+                              ratings, mask)
+        rows, cols = np.nonzero(mask)
+        want = list(zip(rows.tolist(), cols.tolist(), ratings[rows, cols].tolist()))
+        assert [(u, j, r) for u, entries in enumerate(matrix.user_entries)
+                for j, r in entries] == want
+        assert [(u, j, r) for j, entries in enumerate(matrix.column_entries)
+                for u, r in entries] == sorted(want, key=lambda e: (e[1], e[0]))
+        assert matrix.user_entries[2] == [] and matrix.column_entries[4] == []
+        assert len(matrix.user_entries) == 6 and len(matrix.column_entries) == 7
+        for indices, entries in ((matrix.user_columns, matrix.user_entries),
+                                 (matrix.column_users, matrix.column_entries)):
+            for index, entry in zip(indices, entries, strict=True):
+                assert index.dtype == np.intp and index.tolist() == [i for i, _ in entry]
+
+    def test_means_equal_the_masked_means(self):
+        """Rows of 5, 40 and 300 ratings: numpy sums 8 or more values in
+        blocks, so the mean is only the same if the same array is summed."""
+        rng = np.random.default_rng(6)
+        ratings = rng.uniform(1.0, 5.0, size=(3, 300))
+        mask = np.zeros((3, 300), dtype=bool)
+        for u, n in enumerate((5, 40, 300)):
+            mask[u, rng.choice(300, size=n, replace=False)] = True
+        ratings[~mask] = 0.0
+        matrix = RatingMatrix(["a", "b", "c"], [(f"r{j}", 1) for j in range(300)], ratings, mask)
+        for u in range(3):
+            assert matrix.user_mean(u) == float(ratings[u, mask[u]].mean())
+        for j in range(300):
+            if mask[:, j].any():
+                assert matrix.column_mean(j) == float(ratings[mask[:, j], j].mean())
+
 
 class TestRecommender:
     def _engine(self):
@@ -391,7 +431,7 @@ class TestScanEquivalence:
                                                    clamp=False)
                 assert got == want, (user_id, column)
 
-    @pytest.mark.parametrize("n_neighbors", [3, None])
+    @pytest.mark.parametrize("n_neighbors", [0, 3, None])
     def test_signed_tied_similarities(self, scan_engine, n_neighbors):
         """Cosine similarities of ratings are never negative; random signed
         similarities on a 0.05 grid exercise the |sim| order and the index
@@ -418,6 +458,21 @@ class TestScanEquivalence:
         items = {item_id for _, item_id in matrix.columns}
         for item_id in sorted(items) + [max(items) + 1]:
             assert matrix.columns_for_item(item_id) == columns_for_item_reference(matrix, item_id)
+
+    def test_side_score(self, scan_engine):
+        """Every (item, restaurant), on the built partition and on one with a
+        singleton community and an item outside it."""
+        items = sorted({item_id for _, item_id in scan_engine.matrix.columns})
+        restaurants = sorted({rid for rid, _ in scan_engine.matrix.columns})
+        partition = dict(scan_engine.partition)
+        partition[items[0]] = max(partition.values()) + 1  # a singleton community
+        del partition[items[1]]
+        edited = Recommender(scan_engine.matrix, scan_engine.scored_fragments, partition)
+        for engine in (scan_engine, edited):
+            for item_id in items + [max(items) + 1]:
+                for rid in restaurants + ["zz-no-fragments"]:
+                    got = engine.side_score(item_id, rid)
+                    assert got == side_score_reference(engine, item_id, rid), (item_id, rid)
 
     @pytest.mark.parametrize("method, n_neighbors, center", [
         ("baseline", 20, "user"),

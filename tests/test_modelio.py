@@ -177,3 +177,83 @@ def test_vocabulary_hash_verified(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def _saved_doc(tmp_path, kind):
+    """A document save_model wrote for a model trained on DOCS; the
+    vocabulary has 4 tokens."""
+    vocab = build_vocabulary(DOCS, 1)
+    X = bow_matrix(DOCS, vocab)
+    model = {
+        "nb": lambda: nb_train(DOCS, LABELS),
+        "lr": lambda: lr_train(X, LABELS, epochs=5),
+        "dt": lambda: dt_train(X, LABELS, max_depth=4, min_samples_leaf=1),
+    }[kind]()
+    path = tmp_path / f"{kind}.json"
+    save_model(model, path, vocab=vocab)
+    doc = json.loads(path.read_text())
+    if kind == "dt":
+        assert doc["params"]["tree"]["feature"] is not None  # the split cases edit a split
+    return path, doc
+
+
+def _grow_list(value):
+    value.append(0.0)
+
+
+@pytest.mark.parametrize("kind, edit", [
+    pytest.param("nb", lambda d: d["hyperparameters"].pop("alpha"), id="nb-missing-alpha"),
+    pytest.param("nb", lambda d: d["hyperparameters"].__setitem__("alpha", "1"),
+                 id="nb-alpha-not-a-number"),
+    pytest.param("nb", lambda d: d["hyperparameters"].__setitem__("alpha", 0.0),
+                 id="nb-alpha-zero"),
+    pytest.param("nb", lambda d: d["params"]["log_prior"].pop("positive"),
+                 id="nb-missing-prior"),
+    pytest.param("nb", lambda d: d["params"]["log_prior"].__setitem__("negative", None),
+                 id="nb-prior-null"),
+    pytest.param("nb", lambda d: _grow_list(d["params"]["log_likelihood"]["negative"]),
+                 id="nb-likelihood-longer-than-vocabulary"),
+    pytest.param("nb", lambda d: d["params"]["log_likelihood"]["positive"].pop(),
+                 id="nb-likelihood-shorter-than-vocabulary"),
+    pytest.param("lr", lambda d: d["params"]["weights"].extend([0.0, 0.0]),
+                 id="lr-weights-longer-than-vocabulary"),
+    pytest.param("lr", lambda d: d["params"].__setitem__("weights", [[0.0]] * 4),
+                 id="lr-weights-two-dimensional"),
+    pytest.param("lr", lambda d: d["params"]["weights"].__setitem__(0, "0.5"),
+                 id="lr-weight-a-string"),
+    pytest.param("lr", lambda d: d["params"]["weights"].__setitem__(0, True),
+                 id="lr-weight-a-boolean"),
+    pytest.param("lr", lambda d: d["params"].__setitem__("bias", float("nan")),
+                 id="lr-bias-nan"),
+    pytest.param("lr", lambda d: d["hyperparameters"].pop("l2"), id="lr-missing-l2"),
+    pytest.param("dt", lambda d: d["hyperparameters"].__setitem__("n_features", 5),
+                 id="dt-n_features-not-vocabulary-size"),
+    pytest.param("dt", lambda d: d["hyperparameters"].__setitem__("max_depth", 4.5),
+                 id="dt-max_depth-not-an-integer"),
+    pytest.param("dt", lambda d: d["params"]["tree"].__setitem__("feature", 4),
+                 id="dt-split-feature-outside-vocabulary"),
+    pytest.param("dt", lambda d: d["params"]["tree"].__setitem__("feature", -1),
+                 id="dt-split-feature-negative"),
+    pytest.param("dt", lambda d: d["params"]["tree"].pop("left"), id="dt-split-without-left"),
+    pytest.param("dt", lambda d: d["params"]["tree"]["right"].__setitem__("label", "maybe"),
+                 id="dt-unknown-label"),
+    pytest.param("dt", lambda d: d["params"]["tree"].__setitem__("n_pos", -1),
+                 id="dt-negative-count"),
+    pytest.param("nb", lambda d: d["vocabulary"].pop("tokens"), id="vocabulary-without-tokens"),
+    pytest.param("lr", lambda d: d["vocabulary"]["tokens"].__setitem__(
+        1, d["vocabulary"]["tokens"][0]), id="vocabulary-token-repeated"),
+    pytest.param("dt", lambda d: d.__setitem__("params", []), id="params-not-an-object"),
+])
+def test_malformed_sentiment_document_is_a_format_error(tmp_path, kind, edit):
+    path, doc = _saved_doc(tmp_path, kind)
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_json_list_document_is_a_format_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"format": "dishrec-model", "version": 1}]), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="not a dishrec-model document"):
+        load_model(path)
