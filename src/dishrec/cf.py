@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownColumn, UnknownItem, UnknownUser
+from .errors import InvalidConfig, UnknownColumn, UnknownItem, UnknownUser
 
 EQ1_CENTERS = ("user", "item")  # deviation baselines of predict_user_item
 
@@ -188,6 +188,13 @@ def column_similarity(matrix: RatingMatrix) -> np.ndarray:
     return _cosine_matrix(matrix.ratings.T)
 
 
+def check_n_neighbors(n_neighbors):
+    """None keeps every rater and 0 none; a negative N is rejected, where a
+    slice would silently drop the least similar neighbours."""
+    if n_neighbors is not None and n_neighbors < 0:
+        raise InvalidConfig(f"n_neighbors must be None or non-negative, got {n_neighbors!r}")
+
+
 def _top_neighbors(sims, entries, skip, n_neighbors):
     """``(-|sim|, index, sim, rating)`` of the ``(index, rating)`` entries
     other than ``skip``, ordered by |sim| descending, index ascending;
@@ -209,6 +216,7 @@ def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarr
     """
     if center not in EQ1_CENTERS:
         raise ValueError(f"center must be one of {EQ1_CENTERS}")
+    check_n_neighbors(n_neighbors)
     k = matrix.user_index.get(user_id)
     if k is None:
         raise UnknownUser(user_id)
@@ -240,6 +248,7 @@ def predict_item_item(user_id, column, matrix: RatingMatrix, column_sims: np.nda
                       n_neighbors: int | None = 20, clamp: bool = True) -> float:
     """Item-neighborhood prediction: similarity-weighted mean of the user's
     own ratings over the N most similar columns, summed in neighbor order."""
+    check_n_neighbors(n_neighbors)
     k = matrix.user_index.get(user_id)
     if k is None:
         raise UnknownUser(user_id)
@@ -297,6 +306,7 @@ class Recommender:
                  partition: dict[int, int] | None = None,
                  fm_model=None, fm_features=None,
                  n_neighbors: int | None = 20, eq1_center: str = "user"):
+        check_n_neighbors(n_neighbors)
         self.matrix = matrix
         self.scored_fragments = list(scored_fragments)
         self.user_sims = user_similarity(matrix)

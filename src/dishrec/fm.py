@@ -7,11 +7,17 @@ linear-time form sum_f [(sum_i v_if x_i)^2 - sum_i v_if^2 x_i^2] / 2, and
 the regularization strengths are themselves adapted each epoch by a
 gradient step on validation error through the next parameter update.
 
-Training keeps the parameters as Python floats (w a list, V a list of
-k-float rows) and runs one scalar kernel per SGD step: ``_forward`` gives
-the prediction and the factor sums, and ``_step`` reuses those sums for the
-gradient. The per-epoch train MSE and lambda gradients are single numpy
-passes over the dataset held as padded index/value arrays.
+Training keeps w and V as numpy arrays and runs each pass in runs:
+maximal stretches of consecutive visits in which no two instances share a
+feature index and all have one width. The steps of a run touch disjoint
+rows, so each run is done in one numpy pass: the rows are gathered once,
+the factor sums and squared norms are sequential adds (never pairwise
+``.sum()``), w0 -- the one parameter every step touches -- is updated in a
+Python-float chain, and the rows are scattered back slot by slot. Every
+value is computed with the same operations in the same order as one SGD
+step at a time, so training is bit-identical to the stepwise trainer. The
+per-epoch train MSE and lambda gradients are single numpy passes over the
+dataset held as padded index/value arrays.
 """
 
 from __future__ import annotations
@@ -106,33 +112,6 @@ def _forward(x, w0, w, V, kdim):
     return y + 0.5 * (sum(map(mul, s, s)) - sq), s
 
 
-def _step(x, y, w0, w, V, lr, lambda_w, lambda_v, kdim):
-    """One squared-error SGD step on the Python-float parameters of
-    ``_forward``; updates ``w`` and ``V`` in place and returns the prediction
-    made before the step and the new w0.
-
-    Every gradient is taken from the pre-update parameters (``rows``). The
-    factor-row update inlines d y / d V_i = x_i (s - V_i x_i), the formula of
-    ``fm_predict_gradients``: building a separate gradient list made training
-    about a fifth slower. Weight decay applies to the active w_i and V rows;
-    w0 is unregularized. Only w0 and the touched rows can change, so only
-    they are checked for finiteness.
-    """
-    rows = [V[i] for i, _ in x]
-    y_hat, s = _forward(x, w0, w, V, kdim)
-    err2 = 2.0 * (y_hat - y)
-    w0 -= lr * err2
-    finite = isfinite(w0)
-    for (i, v), pre in zip(x, rows):
-        w[i] -= lr * (err2 * v + lambda_w * w[i])
-        V[i] = row = [r - lr * (err2 * (v * (a - p * v)) + lambda_v * r)
-                      for a, p, r in zip(s, pre, V[i])]
-        finite = finite and isfinite(w[i]) and all(map(isfinite, row))
-    if not finite:
-        raise DivergenceDetected("non-finite factorization machine parameters")
-    return y_hat, w0
-
-
 def _active(x, model: FMModel):
     """The weights and factor rows of x's features, keyed by feature index."""
     _check_indices(x, model.n_features)
@@ -192,6 +171,76 @@ def _lambda_gradients(arrays, w0, w, V, lr):
     return float(np.mean(2.0 * err * -lr * linear)), float(np.mean(2.0 * err * -lr * pairwise2))
 
 
+def _runs(visits, features):
+    """Split a pass's visit order into maximal runs of consecutive visits in
+    which no two instances share a feature index and every instance has the
+    same width; ``features[k]`` is instance k's tuple of feature indices. A
+    feature repeated inside one instance does not end a run. Returns
+    ``(start, stop, width)`` for each run, as positions in ``visits``."""
+    runs = []
+    start = width = 0
+    touched = set()  # the feature indices of the current run
+    for pos, k in enumerate(visits):
+        f = features[k]
+        if len(f) != width or not touched.isdisjoint(f):
+            if pos:
+                runs.append((start, pos, width))
+            start, width, touched = pos, len(f), set(f)
+        else:
+            touched.update(f)
+    if visits:
+        runs.append((start, len(visits), width))
+    return runs
+
+
+def _sgd_run(rows, x, y, w0, w, V, lr, lambda_w, lambda_v):
+    """The squared-error SGD steps of one run, in visit order; updates ``w``
+    and ``V`` in place and returns the new w0. ``rows[j]`` and ``x[j]`` hold
+    the feature indices and values in slot j of the run's instances, ``y``
+    their targets.
+
+    Each value is the one a single step computes, by the same elementwise
+    operations in the same order: the prediction and the factor sums s come
+    from the pre-step rows, the gradient of V_i is x_i (s - V_i x_i) (the
+    formula of ``fm_predict_gradients``), weight decay applies to the active
+    w_i and V rows, and w0 is unregularized. Because the run's instances
+    share no feature, only w0 carries from one step to the next. The rows
+    are re-gathered after each slot, so a feature repeated inside one
+    instance takes its second update from its first, as in a single step.
+    """
+    width, n = rows.shape
+    x_col = x[..., None]
+    pre = V[rows]                                   # width x n x kdim
+    xv = pre * x_col
+    norms = np.add.accumulate(pre * pre, axis=2)[..., -1] * x * x
+    s = np.zeros((n, V.shape[1]))
+    sq = np.zeros(n)
+    for j in range(width):
+        s += xv[j]
+        sq += norms[j]
+    pairwise = 0.5 * (np.add.accumulate(s * s, axis=1)[:, -1] - sq)
+
+    err2 = []
+    for terms, h, target in zip((w[rows] * x).T.tolist(), pairwise.tolist(), y.tolist()):
+        y_hat = w0
+        for term in terms:
+            y_hat += term
+        e = 2.0 * (y_hat + h - target)
+        w0 -= lr * e
+        err2.append(e)
+
+    err2 = np.array(err2)
+    grad_w = err2 * x
+    grad_V = err2[:, None] * (x_col * (s - xv))
+    for j in range(width):
+        i = rows[j]
+        r = w[i]
+        w[i] = r - lr * (grad_w[j] + lambda_w * r)
+        r = V[i]
+        V[i] = r - lr * (grad_V[j] + lambda_v * r)
+    return w0
+
+
 def fm_train(train, validation=None, lr: float = 0.001, epochs: int = 100,
              kdim: int = 8, seed: int = 0, n_features: int | None = None,
              lambda_init: float = 0.01, lambda_max: float = 10.0,
@@ -207,13 +256,21 @@ def fm_train(train, validation=None, lr: float = 0.001, epochs: int = 100,
     single-instance SGD steps (one lambda update at the end).
 
     The returned model carries a ``history`` dict with per-epoch train MSE
-    and the lambda trajectory. A non-finite parameter after a step, or a
+    and the lambda trajectory. A non-finite parameter after a pass, or a
     non-finite train MSE after an epoch, raises DivergenceDetected.
     """
     if not train:
         raise InvalidConfig("empty training set")
     if iteration_unit not in ("epochs", "steps"):
         raise InvalidConfig(f"bad iteration_unit {iteration_unit!r}")
+    if kdim < 1:
+        raise InvalidConfig(f"kdim must be at least 1, got {kdim!r}")
+    if epochs < 0:
+        raise InvalidConfig(f"epochs must be non-negative, got {epochs!r}")
+    for name, value in (("lr", lr), ("lambda_init", lambda_init),
+                        ("lambda_max", lambda_max), ("lambda_lr", lambda_lr)):
+        if value is not None and not (isfinite(value) and value >= 0):
+            raise InvalidConfig(f"{name} must be finite and non-negative, got {value!r}")
     rng = np.random.default_rng(seed)
     train = list(train)
     if validation is None:
@@ -229,11 +286,12 @@ def fm_train(train, validation=None, lr: float = 0.001, epochs: int = 100,
 
     if n_features is None:
         n_features = 1 + max(i for x, _ in list(train) + validation for i, _ in x)
-    train_arrays = _as_arrays(train, n_features)
+    train_arrays = idx, val, targets = _as_arrays(train, n_features)
     val_arrays = _as_arrays(validation, n_features)
+    features = [tuple(i for i, _ in x) for x, _ in train]
     w0 = 0.0
-    w = [0.0] * n_features
-    V = rng.normal(0.0, 0.01, size=(n_features, kdim)).tolist()
+    w = np.zeros(n_features)
+    V = rng.normal(0.0, 0.01, size=(n_features, kdim))
     lambda_w = lambda_v = lambda_init
     lam_lr = lr if lambda_lr is None else lambda_lr
     train_mse = []
@@ -244,20 +302,27 @@ def fm_train(train, validation=None, lr: float = 0.001, epochs: int = 100,
         passes = [[order[step % len(train)] for step in range(epochs)]]
     else:
         passes = (rng.permutation(len(train)).tolist() for _ in range(epochs))
-    for visits in passes:
-        for k in visits:
-            x, y = train[k]
-            _, w0 = _step(x, y, w0, w, V, lr, lambda_w, lambda_v, kdim)
-        w_arr, V_arr = np.array(w), np.array(V)
-        g_w, g_v = _lambda_gradients(val_arrays, w0, w_arr, V_arr, lr)
-        lambda_w = float(np.clip(lambda_w - lam_lr * g_w, 0.0, lambda_max))
-        lambda_v = float(np.clip(lambda_v - lam_lr * g_v, 0.0, lambda_max))
-        lambdas.append((lambda_w, lambda_v))
-        with np.errstate(over="ignore", invalid="ignore"):
-            mse = _mse(train_arrays, w0, w_arr, V_arr)
-        if not isfinite(mse):
-            raise DivergenceDetected("non-finite train MSE")
-        train_mse.append(mse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for visits in passes:
+            # slot-major, so that one slot of a run is a contiguous row
+            rows = np.ascontiguousarray(idx[visits].T)
+            x = np.ascontiguousarray(val[visits].T)
+            y = targets[visits]
+            for start, stop, width in _runs(visits, features):
+                w0 = _sgd_run(rows[:width, start:stop], x[:width, start:stop], y[start:stop],
+                              w0, w, V, lr, lambda_w, lambda_v)
+            # a non-finite parameter stays non-finite through every later
+            # update, so one check per pass sees each that a check per step sees
+            if not (isfinite(w0) and np.isfinite(w).all() and np.isfinite(V).all()):
+                raise DivergenceDetected("non-finite factorization machine parameters")
+            g_w, g_v = _lambda_gradients(val_arrays, w0, w, V, lr)
+            lambda_w = float(np.clip(lambda_w - lam_lr * g_w, 0.0, lambda_max))
+            lambda_v = float(np.clip(lambda_v - lam_lr * g_v, 0.0, lambda_max))
+            lambdas.append((lambda_w, lambda_v))
+            mse = _mse(train_arrays, w0, w, V)
+            if not isfinite(mse):
+                raise DivergenceDetected("non-finite train MSE")
+            train_mse.append(mse)
 
-    return FMModel(w0, np.array(w), np.array(V), lambda_w, lambda_v, kdim,
+    return FMModel(w0, w, V, lambda_w, lambda_v, kdim,
                    history={"train_mse": train_mse, "lambdas": lambdas})

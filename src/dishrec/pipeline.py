@@ -7,7 +7,7 @@ same pipeline.
 from __future__ import annotations
 
 from . import lstm as lstm_mod
-from .cf import Recommender, ScoredFragment, build_rating_matrix
+from .cf import Recommender, ScoredFragment, build_rating_matrix, check_n_neighbors
 from .corpus import NEGATIVE, POSITIVE, UNLABELED, Vocabulary, build_vocabulary, normalize
 from .errors import InvalidConfig, SingleClassCorpus
 from .fm import build_fm_dataset, fm_train
@@ -137,6 +137,7 @@ def build_recommender(corpus: CorpusData, seed: int = 0, sentiment_kind: str = "
     ``reviews`` restricts training to a subset (the evaluation harness passes
     the train split); by default all corpus reviews are used.
     """
+    check_n_neighbors(n_neighbors)  # fail before training, not after
     reviews = corpus.reviews if reviews is None else reviews
     token_map = normalize_reviews(reviews, corpus.lexicons)
     fragments = make_fragments(reviews, token_map, corpus.items)

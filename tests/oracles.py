@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dishrec import evalx, pipeline
+from dishrec import evalx, fm, pipeline
 from dishrec.errors import (
     DivergenceDetected,
     FeatureIndexOutOfRange,
@@ -168,8 +168,8 @@ def central_difference(f, x0, step):
 
 
 # ---------------------------------------------------------------------------
-# Factorization machine trainer, numpy per step: the implementation the fused
-# scalar kernel in dishrec.fm replaced. Per SGD step it recomputes the factor
+# Factorization machine trainer, numpy per step: the implementation the
+# scalar kernel (fm_train_stepwise_reference below) replaced. Per SGD step it recomputes the factor
 # sums for the prediction and again for the gradient, checks every index and
 # checks the whole w and V for finiteness; the per-epoch MSE and lambda
 # gradients loop over instances one at a time.
@@ -299,6 +299,111 @@ def fm_train_reference(train, validation=None, lr=0.001, epochs=100, kdim=8, see
 
     model.history = {"train_mse": train_mse, "lambdas": lambdas}
     return model
+
+
+# ---------------------------------------------------------------------------
+# Factorization machine trainer, one scalar SGD step at a time: the
+# implementation the run-batched kernel in dishrec.fm replaced, with the
+# same per-epoch numpy passes. Its sums are explicit left-to-right loops,
+# not builtin ``sum``, which compensates float sums since Python 3.12; so
+# the run-batched trainer must equal it bit for bit on every interpreter.
+
+def fm_stepwise_forward(x, w0, w, V, kdim):
+    """Prediction and factor sums s_f = sum_i v_if x_i of instance x, with
+    ``w`` a list of floats and ``V`` a list of k-float rows."""
+    y = w0
+    sq = 0.0
+    s = [0.0] * kdim
+    for i, v in x:
+        row = V[i]
+        y += w[i] * v
+        norm = 0.0
+        for r in row:
+            norm += r * r
+        sq += norm * v * v
+        s = [a + r * v for a, r in zip(s, row)]
+    ss = 0.0
+    for a in s:
+        ss += a * a
+    return y + 0.5 * (ss - sq), s
+
+
+def fm_stepwise_step(x, y, w0, w, V, lr, lambda_w, lambda_v, kdim):
+    """One squared-error SGD step on the list parameters of
+    ``fm_stepwise_forward``; updates ``w`` and ``V`` in place and returns the
+    prediction made before the step and the new w0. Every gradient is taken
+    from the pre-update rows; w0 is unregularized."""
+    rows = [V[i] for i, _ in x]
+    y_hat, s = fm_stepwise_forward(x, w0, w, V, kdim)
+    err2 = 2.0 * (y_hat - y)
+    w0 -= lr * err2
+    finite = math.isfinite(w0)
+    for (i, v), pre in zip(x, rows):
+        w[i] -= lr * (err2 * v + lambda_w * w[i])
+        V[i] = row = [r - lr * (err2 * (v * (a - p * v)) + lambda_v * r)
+                      for a, p, r in zip(s, pre, V[i])]
+        finite = finite and math.isfinite(w[i]) and all(map(math.isfinite, row))
+    if not finite:
+        raise DivergenceDetected("non-finite factorization machine parameters")
+    return y_hat, w0
+
+
+def fm_train_stepwise_reference(train, validation=None, lr=0.001, epochs=100, kdim=8, seed=0,
+                                n_features=None, lambda_init=0.01, lambda_max=10.0,
+                                lambda_lr=None, iteration_unit="epochs"):
+    """Same arguments and seeding as ``dishrec.fm.fm_train``; returns an
+    ``FMModel``."""
+    if not train:
+        raise InvalidConfig("empty training set")
+    if iteration_unit not in ("epochs", "steps"):
+        raise InvalidConfig(f"bad iteration_unit {iteration_unit!r}")
+    rng = np.random.default_rng(seed)
+    train = list(train)
+    if validation is None:
+        if len(train) < 2:
+            raise InvalidConfig("need at least 2 instances to carve a validation split")
+        order = rng.permutation(len(train))
+        n_val = max(1, int(round(0.1 * len(train))))
+        validation = [train[i] for i in order[:n_val]]
+        train = [train[i] for i in order[n_val:]]
+    validation = list(validation)
+    if not validation:
+        raise InvalidConfig("validation set must be non-empty")
+
+    if n_features is None:
+        n_features = 1 + max(i for x, _ in list(train) + validation for i, _ in x)
+    train_arrays = fm._as_arrays(train, n_features)
+    val_arrays = fm._as_arrays(validation, n_features)
+    w0 = 0.0
+    w = [0.0] * n_features
+    V = rng.normal(0.0, 0.01, size=(n_features, kdim)).tolist()
+    lambda_w = lambda_v = lambda_init
+    lam_lr = lr if lambda_lr is None else lambda_lr
+    train_mse = []
+    lambdas = []
+
+    if iteration_unit == "steps":
+        order = rng.permutation(len(train)).tolist()
+        passes = [[order[step % len(train)] for step in range(epochs)]]
+    else:
+        passes = (rng.permutation(len(train)).tolist() for _ in range(epochs))
+    for visits in passes:
+        for k in visits:
+            x, y = train[k]
+            _, w0 = fm_stepwise_step(x, y, w0, w, V, lr, lambda_w, lambda_v, kdim)
+        w_arr, V_arr = np.array(w), np.array(V)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_w, g_v = fm._lambda_gradients(val_arrays, w0, w_arr, V_arr, lr)
+            lambda_w = float(np.clip(lambda_w - lam_lr * g_w, 0.0, lambda_max))
+            lambda_v = float(np.clip(lambda_v - lam_lr * g_v, 0.0, lambda_max))
+            lambdas.append((lambda_w, lambda_v))
+            mse = fm._mse(train_arrays, w0, w_arr, V_arr)
+        if not math.isfinite(mse):
+            raise DivergenceDetected("non-finite train MSE")
+        train_mse.append(mse)
+
+    return fm.FMModel(w0, np.array(w), np.array(V), lambda_w, lambda_v, kdim,
+                      history={"train_mse": train_mse, "lambdas": lambdas})
 
 
 # ---------------------------------------------------------------------------

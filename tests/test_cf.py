@@ -17,7 +17,7 @@ from dishrec.cf import (
     predict_user_item,
     user_similarity,
 )
-from dishrec.errors import UnknownColumn, UnknownItem, UnknownUser
+from dishrec.errors import InvalidConfig, UnknownColumn, UnknownItem, UnknownUser
 from dishrec.evalx import run_benchmark
 from dishrec.pipeline import build_recommender
 from dishrec.synth import synth_corpus
@@ -385,6 +385,44 @@ class TestRecommender:
         assert engine.side_score(1, "rA") == 1.0
         assert engine.side_score(1, "rB") == 0.0
         assert engine.side_score(3, "rB") == 0.0  # singleton community
+
+
+class TestNeighborCount:
+    """None keeps every neighbour and 0 none; a negative N is rejected. On
+    this corpus u007 has twelve neighbour columns for ("r002", 1), and a
+    slice by -1 or -3 used to keep the eleven or nine most similar."""
+
+    COLUMN = ("r002", 1)
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        corpus = synth_corpus(1, 50, 10, 12)
+        return corpus, build_recommender(corpus, seed=1, with_fm=False)
+
+    def test_none_zero_and_positive_counts(self, built):
+        _, engine = built
+        m, sims = engine.matrix, engine.column_sims
+
+        def predict(n):
+            return predict_item_item("u007", self.COLUMN, m, sims, n)
+
+        assert predict(None) == predict(12) == pytest.approx(3.8459, abs=5e-5)
+        assert predict(11) == pytest.approx(3.8217, abs=5e-5)
+        assert predict(9) == pytest.approx(3.7548, abs=5e-5)
+        assert predict(0) == m.user_mean(m.user_index["u007"])
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_count_rejected(self, built, n):
+        corpus, engine = built
+        m = engine.matrix
+        with pytest.raises(InvalidConfig):
+            predict_item_item("u007", self.COLUMN, m, engine.column_sims, n)
+        with pytest.raises(InvalidConfig):
+            predict_user_item("u007", self.COLUMN, m, engine.user_sims, n)
+        with pytest.raises(InvalidConfig):
+            Recommender(m, engine.scored_fragments, n_neighbors=n)
+        with pytest.raises(InvalidConfig):
+            build_recommender(corpus, seed=1, with_fm=False, n_neighbors=n)
 
 
 # corpus id -> synth_corpus(seed, users, restaurants, items)

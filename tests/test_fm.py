@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dishrec.errors import DivergenceDetected, FeatureIndexOutOfRange, InvalidConfig
 from dishrec.fm import (
     FMModel,
     FeatureMap,
-    _forward,
-    _step,
+    _runs,
     build_fm_dataset,
     fm_predict,
     fm_predict_gradients,
     fm_train,
 )
 
-from oracles import fm_naive, fm_sgd_step_reference, fm_train_reference
+from oracles import (
+    fm_naive,
+    fm_sgd_step_reference,
+    fm_stepwise_forward,
+    fm_stepwise_step,
+    fm_train_reference,
+    fm_train_stepwise_reference,
+)
 
 
 def random_model(rng, n, kdim, scale=1.0):
@@ -110,12 +118,12 @@ def planted_dataset(rng, n=30, kdim=2, n_samples=300, sigma=0.1):
 
 
 class TestSgdStep:
-    """The training kernel ``_step`` on list parameters, updated in place."""
+    """The stepwise oracle's SGD step on list parameters, updated in place."""
 
     def test_returns_pre_update_prediction_and_moves_bias(self):
         w, V = [0.0] * 3, [[0.0, 0.0] for _ in range(3)]
         x = [(0, 1.0), (2, 1.0)]
-        y_hat, w0 = _step(x, 4.0, 0.0, w, V, 0.1, 0.0, 0.0, 2)
+        y_hat, w0 = fm_stepwise_step(x, 4.0, 0.0, w, V, 0.1, 0.0, 0.0, 2)
         assert y_hat == 0.0                       # prediction before the step
         assert w0 == pytest.approx(0.8)           # -lr * 2 * (0 - 4)
         assert w[0] == w[2] == pytest.approx(0.8)
@@ -124,11 +132,37 @@ class TestSgdStep:
     def test_weight_decay_skips_bias(self):
         w, V = [1.0, 1.0], [[0.0], [0.0]]
         x = [(0, 1.0)]
-        y, _ = _forward(x, 2.0, w, V, 1)  # step with zero error leaves only the decay
-        _, w0 = _step(x, y, 2.0, w, V, 0.1, 1.0, 1.0, 1)
+        y, _ = fm_stepwise_forward(x, 2.0, w, V, 1)  # step with zero error leaves only the decay
+        _, w0 = fm_stepwise_step(x, y, 2.0, w, V, 0.1, 1.0, 1.0, 1)
         assert w0 == 2.0
         assert w[0] == pytest.approx(0.9)         # 1 - lr * lambda_w * 1
         assert w[1] == 1.0
+
+
+class TestRuns:
+    """The split of a pass into runs of consecutive visits that share no
+    feature index and have one width, as (start, stop, width)."""
+
+    def test_repeated_user_ends_a_run(self):
+        # (user, column) instances; visit 2 is user 0 again, visit 3 column 5 again
+        features = [(0, 3), (1, 4), (0, 5), (2, 5)]
+        assert _runs([0, 1, 2, 3], features) == [(0, 2, 2), (2, 3, 2), (3, 4, 2)]
+
+    def test_width_change_ends_a_run(self):
+        features = [(0,), (1, 2), (3, 4), (5,)]
+        assert _runs([0, 1, 2, 3], features) == [(0, 1, 1), (1, 3, 2), (3, 4, 1)]
+
+    def test_repeat_inside_one_instance_does_not_end_a_run(self):
+        assert _runs([0, 1], [(0, 0), (1, 2)]) == [(0, 2, 2)]
+
+    def test_wrapped_steps_pass_splits_at_the_second_visit(self):
+        # 5 steps over 3 instances visit instances 2 and 0 twice
+        order = [2, 0, 1]
+        visits = [order[step % 3] for step in range(5)]
+        assert _runs(visits, [(0, 3), (1, 4), (2, 5)]) == [(0, 3, 2), (3, 5, 2)]
+
+    def test_empty_pass(self):
+        assert _runs([], [(0, 1)]) == []
 
 
 class TestTraining:
@@ -221,6 +255,26 @@ class TestTraining:
         with pytest.raises(InvalidConfig):
             fm_train([], lr=0.01, epochs=1, kdim=2)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(kdim=0), dict(kdim=-1), dict(epochs=-1),
+        dict(lr=-0.01), dict(lr=float("nan")), dict(lr=float("inf")),
+        dict(lambda_init=-0.01), dict(lambda_init=float("nan")),
+        dict(lambda_max=-1.0), dict(lambda_max=float("inf")),
+        dict(lambda_lr=-0.5), dict(lambda_lr=float("nan")),
+    ])
+    def test_bad_arguments_rejected(self, kwargs):
+        rng = np.random.default_rng(12)
+        _, data = planted_dataset(rng, n=6, n_samples=20)
+        with pytest.raises(InvalidConfig):
+            fm_train(data, **{"lr": 0.01, "epochs": 2, "kdim": 2, "n_features": 6, **kwargs})
+
+    def test_lambda_step_overflow_is_divergence_not_a_warning(self):
+        # no outer errstate: a RuntimeWarning is an error under pytest here
+        rng = np.random.default_rng(10)
+        _, data = planted_dataset(rng, n=6, n_samples=30)
+        with pytest.raises(DivergenceDetected, match="train MSE"):
+            fm_train(data, lr=100.0, epochs=3, kdim=2, seed=0, n_features=6)
+
 
 class TestFeatureMap:
     def test_encode_layout(self):
@@ -275,6 +329,9 @@ def _reference_case(name):
     if name == "planted":
         _, data = planted_dataset(rng, n=30, kdim=2, n_samples=400)
         return data[:320], None, dict(lr=0.05, epochs=30, kdim=2, seed=404, n_features=30)
+    if name == "planted-k9":  # factor sums longer than numpy's 8-wide pairwise blocks
+        _, data = planted_dataset(rng, n=30, kdim=2, n_samples=400)
+        return data[:320], None, dict(lr=0.05, epochs=10, kdim=9, seed=404, n_features=30)
     if name == "planted-low-lr":
         _, data = planted_dataset(rng, n=20, n_samples=200)
         return data, None, dict(lr=0.001, epochs=30, kdim=2, seed=2, n_features=20)
@@ -290,7 +347,7 @@ def _reference_case(name):
 
 
 class TestReferenceEquivalence:
-    """fm_train against the numpy-per-step trainer it replaced. Each update is
+    """fm_train against the older numpy-per-step trainer. Each update is
     the same elementwise arithmetic; the sums |V_i|^2 and s.s run in another
     order, and the per-epoch passes are numpy reductions that use
     sum_i (dy/dV_i).V_i = 2 * pairwise term. So parameters, lambda
@@ -324,7 +381,7 @@ class TestReferenceEquivalence:
             if case % 5 == 0:
                 x = x + x[:1]  # a repeated index
             y = float(rng.normal())
-            y_hat, w0 = _step(x, y, want.w0, w, V, 0.05, 0.3, 0.2, kdim)
+            y_hat, w0 = fm_stepwise_step(x, y, want.w0, w, V, 0.05, 0.3, 0.2, kdim)
             assert abs(y_hat - fm_sgd_step_reference(x, y, want, 0.05)) <= self.TOL
             assert abs(w0 - want.w0) <= self.TOL
             assert np.abs(np.array(w) - want.w).max() <= self.TOL
@@ -353,5 +410,52 @@ class TestReferenceEquivalence:
         for unit, horizon in (("epochs", 4), ("steps", 30)):
             got = [outcome(fm_train, e, unit) for e in range(horizon)]
             want = [outcome(fm_train_reference, e, unit) for e in range(horizon)]
-            assert got == want
+            stepwise = [outcome(fm_train_stepwise_reference, e, unit) for e in range(horizon)]
+            assert got == want == stepwise
             assert got[0] == "finite" and got[-1] == "diverged"
+
+
+def assert_same_model(got, want):
+    """Bit for bit: w0, w, V, the final lambdas and the whole history."""
+    assert got.w0 == want.w0
+    assert np.array_equal(got.w, want.w)
+    assert np.array_equal(got.V, want.V)
+    assert (got.lambda_w, got.lambda_v) == (want.lambda_w, want.lambda_v)
+    assert got.history == want.history
+
+
+class TestStepwiseEquivalence:
+    """fm_train against the trainer it replaced, one scalar SGD step at a
+    time (tests/oracles.py). The run-batched kernel does the same
+    elementwise operations in the same order, so the two agree exactly."""
+
+    @pytest.mark.parametrize("name", ["synth", "planted", "planted-k9", "planted-low-lr",
+                                      "non-binary", "steps"])
+    def test_equals_stepwise_trainer(self, name):
+        train, validation, kwargs = _reference_case(name)
+        assert_same_model(fm_train(train, validation, **kwargs),
+                          fm_train_stepwise_reference(train, validation, **kwargs))
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_equals_stepwise_trainer_on_random_datasets(self, data):
+        n = data.draw(st.integers(1, 8), label="n_features")
+        value = st.one_of(st.just(0.0), st.just(1.0), st.floats(-2.0, 2.0))
+        # widths 1-4; an index may repeat inside one instance
+        instance = st.lists(st.tuples(st.integers(0, n - 1), value), min_size=1, max_size=4)
+        example = st.tuples(instance, st.floats(-3.0, 3.0))
+        train = data.draw(st.lists(example, min_size=2, max_size=30), label="train")
+        validation = data.draw(st.none() | st.lists(example, min_size=1, max_size=6),
+                               label="validation")
+        unit = data.draw(st.sampled_from(["epochs", "steps"]), label="iteration_unit")
+        kwargs = dict(
+            lr=data.draw(st.sampled_from([0.0, 0.01, 0.05]), label="lr"),
+            epochs=data.draw(st.integers(0, 60 if unit == "steps" else 4), label="epochs"),
+            kdim=data.draw(st.integers(1, 9), label="kdim"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+            n_features=n,
+            lambda_lr=data.draw(st.sampled_from([None, 0.5]), label="lambda_lr"),
+            iteration_unit=unit,
+        )
+        assert_same_model(fm_train(train, validation, **kwargs),
+                          fm_train_stepwise_reference(train, validation, **kwargs))
