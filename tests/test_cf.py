@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dishrec import cf
 from dishrec.cf import (
     EQ1_CENTERS,
     RatingMatrix,
@@ -85,6 +86,19 @@ class TestCosine:
 
 
 class TestSimilarityMatrices:
+    def test_entry_sums_match_pairwise_cosine(self):
+        """The entry-summed matrices are exactly symmetric, leave a user or
+        column with no rating at zero, and equal the pairwise oracle."""
+        corpus = synth_corpus(1, 20, 6, 8)
+        matrix = build_recommender(corpus, seed=1, with_fm=False).matrix
+        ratings = np.pad(matrix.ratings, ((0, 1), (0, 1)))  # one empty user and column
+        for M in (ratings, ratings.T):
+            S = cf._cosine_matrix(M)
+            assert (S == S.T).all()
+            for a in range(len(M)):
+                for b in range(len(M)):
+                    assert S[a, b] == pytest.approx(cosine_reference(M[a], M[b]), abs=1e-15)
+
     def test_symmetry_range_diagonal(self):
         rng = np.random.default_rng(1)
         entries = []
