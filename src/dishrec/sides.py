@@ -8,15 +8,19 @@ sampler is driven by a seeded PRNG for the same reason.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul, truediv
 
-from .errors import EmptyCorpus, EmptyGraph, ModularityDecreased
+from .errors import EmptyCorpus, EmptyGraph, InvalidConfig, ModularityDecreased
 
 
 class WeightedGraph:
-    """Undirected graph with positive edge weights and no self-loops."""
+    """Undirected graph with positive, finite edge weights and no self-loops."""
 
     def __init__(self):
         self._adj: dict = defaultdict(dict)
@@ -32,8 +36,8 @@ class WeightedGraph:
     def add_edge(self, u, v, weight=1):
         if u == v:
             raise ValueError(f"self-loop on node {u!r}")
-        if weight <= 0:
-            raise ValueError("edge weight must be positive")
+        if not (math.isfinite(weight) and weight > 0):
+            raise ValueError("edge weight must be positive and finite")
         self._nodes.add(u)
         self._nodes.add(v)
         self._adj[u][v] = self._adj[u].get(v, 0) + weight
@@ -227,7 +231,7 @@ class TopicModel:
     vocab_tokens: list[str]
     docs: list[list[int]]                 # token ids per document
     doc_topic: list[list[int]] = field(default_factory=list)   # n_{d,k}
-    topic_word: list[list[int]] = field(default_factory=list)  # n_{k,w}
+    word_topic: list[list[int]] = field(default_factory=list)  # n_{w,k}
     topic_total: list[int] = field(default_factory=list)       # n_{k,.}
     assignments: list[list[int]] = field(default_factory=list)
     _rng: random.Random = field(default=None, repr=False)
@@ -236,11 +240,16 @@ class TopicModel:
     def vocab_size(self):
         return len(self.vocab_tokens)
 
+    @property
+    def topic_word(self) -> list[list[int]]:
+        """n_{k,w}, transposed from the word-major counts."""
+        return [list(row) for row in zip(*self.word_topic)]
+
     def init_assignments(self, seed: int):
         self._rng = random.Random(seed)
         K = self.n_topics
         self.doc_topic = [[0] * K for _ in self.docs]
-        self.topic_word = [[0] * self.vocab_size for _ in range(K)]
+        self.word_topic = [[0] * K for _ in range(self.vocab_size)]
         self.topic_total = [0] * K
         self.assignments = []
         for d, doc in enumerate(self.docs):
@@ -249,64 +258,89 @@ class TopicModel:
                 k = self._rng.randrange(K)
                 zs.append(k)
                 self.doc_topic[d][k] += 1
-                self.topic_word[k][w] += 1
+                self.word_topic[w][k] += 1
                 self.topic_total[k] += 1
             self.assignments.append(zs)
 
     def sweep(self):
-        """Resample every token's topic once from the collapsed conditional."""
-        K = self.n_topics
-        beta_v = self.beta * self.vocab_size
-        rng = self._rng
-        for d, doc in enumerate(self.docs):
-            ndk = self.doc_topic[d]
-            zs = self.assignments[d]
+        """Resample every token's topic once from the collapsed conditional.
+
+        Topic k's weight is (n_{d,k} + alpha) * (n_{w,k} + beta) / (n_{k,.} + beta V),
+        without the token's own count, accumulated in topic order; the draw is
+        the first topic whose cumulative weight exceeds random() * total, else
+        the last topic. The three factors are kept as float lists beside the int
+        counts, and each entry a token touches is recomputed from its count
+        (never stepped by 1, which would round differently), so every weight is
+        the same float as in the direct per-topic loop. A token that keeps its
+        topic leaves every count as it was, so its three entries get back the
+        floats they held. The bisect equals a linear scan because the
+        cumulative weights never decrease (alpha, beta > 0); the one exception
+        is random() returning exactly 0.0 while the total has overflowed to inf.
+        """
+        alpha, beta = self.alpha, self.beta
+        beta_v = beta * self.vocab_size
+        rand = self._rng.random
+        last = self.n_topics - 1
+        word_topic, nk = self.word_topic, self.topic_total
+        word_f = [[n + beta for n in nwk] for nwk in word_topic]
+        total_f = [n + beta_v for n in nk]
+        for ndk, zs, doc in zip(self.doc_topic, self.assignments, self.docs):
+            doc_f = [n + alpha for n in ndk]
             for j, w in enumerate(doc):
                 k = zs[j]
+                nwk, word_w = word_topic[w], word_f[w]
+                kept = doc_f[k], word_w[k], total_f[k]
+                doc_f[k] = ndk[k] - 1 + alpha
+                word_w[k] = nwk[k] - 1 + beta
+                total_f[k] = nk[k] - 1 + beta_v
+
+                weights = list(accumulate(map(truediv, map(mul, doc_f, word_w), total_f)))
+                k_new = bisect_right(weights, rand() * weights[-1], 0, last)
+                if k_new == k:
+                    doc_f[k], word_w[k], total_f[k] = kept
+                    continue
+
                 ndk[k] -= 1
-                self.topic_word[k][w] -= 1
-                self.topic_total[k] -= 1
-
-                total = 0.0
-                weights = []
-                for t in range(K):
-                    p = (ndk[t] + self.alpha) * (self.topic_word[t][w] + self.beta) \
-                        / (self.topic_total[t] + beta_v)
-                    total += p
-                    weights.append(total)
-                r = rng.random() * total
-                k_new = 0
-                while weights[k_new] <= r and k_new < K - 1:
-                    k_new += 1
-
-                zs[j] = k_new
-                ndk[k_new] += 1
-                self.topic_word[k_new][w] += 1
-                self.topic_total[k_new] += 1
+                nwk[k] -= 1
+                nk[k] -= 1
+                zs[j] = k = k_new
+                ndk[k] += 1
+                doc_f[k] = ndk[k] + alpha
+                nwk[k] += 1
+                word_w[k] = nwk[k] + beta
+                nk[k] += 1
+                total_f[k] = nk[k] + beta_v
 
     def word_probabilities(self, topic: int) -> list[float]:
         beta_v = self.beta * self.vocab_size
         denom = self.topic_total[topic] + beta_v
-        return [(self.topic_word[topic][w] + self.beta) / denom for w in range(self.vocab_size)]
+        return [(nwk[topic] + self.beta) / denom for nwk in self.word_topic]
 
 
 def lda_train(documents, n_topics: int = 10, alpha: float | None = None,
               beta: float = 0.01, iterations: int = 500, seed: int = 0) -> TopicModel:
     """Collapsed Gibbs sampling over token lists; returns the final-sweep model.
 
-    alpha defaults to 50 / n_topics.
+    alpha defaults to 50 / n_topics. n_topics must be >= 1, alpha and beta
+    finite and > 0, and iterations >= 0 (InvalidConfig otherwise).
     """
+    if n_topics < 1:
+        raise InvalidConfig(f"n_topics must be >= 1, got {n_topics}")
+    alpha = 50.0 / n_topics if alpha is None else alpha
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidConfig(f"{name} must be finite and > 0, got {value}")
+    if iterations < 0:
+        raise InvalidConfig(f"iterations must be >= 0, got {iterations}")
     docs_tokens = [list(doc) for doc in documents]
     if not docs_tokens or all(not d for d in docs_tokens):
         raise EmptyCorpus("no documents with tokens")
-    if n_topics < 1:
-        raise ValueError("n_topics must be >= 1")
     vocab = sorted({t for doc in docs_tokens for t in doc})
     token_index = {t: i for i, t in enumerate(vocab)}
     docs = [[token_index[t] for t in doc] for doc in docs_tokens]
     model = TopicModel(
         n_topics=n_topics,
-        alpha=50.0 / n_topics if alpha is None else alpha,
+        alpha=alpha,
         beta=beta,
         vocab_tokens=vocab,
         docs=docs,

@@ -6,6 +6,8 @@ so that agreement between the two paths is meaningful.
 """
 
 import math
+import random
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +15,7 @@ import numpy as np
 from dishrec import evalx, fm, pipeline
 from dishrec.errors import (
     DivergenceDetected,
+    EmptyCorpus,
     FeatureIndexOutOfRange,
     InvalidConfig,
     QueryError,
@@ -735,3 +738,102 @@ def lstm_train_reference(corpus, params, lr=0.05, epochs=50, seed=0, clip_thresh
                     setattr(p, name, getattr(p, name) - lr * g[name])
             losses.append(total / n)
     return p, losses
+
+
+@dataclass
+class TopicModelReference:
+    n_topics: int
+    alpha: float
+    beta: float
+    vocab_tokens: list[str]
+    docs: list[list[int]]                 # token ids per document
+    doc_topic: list[list[int]] = field(default_factory=list)   # n_{d,k}
+    topic_word: list[list[int]] = field(default_factory=list)  # n_{k,w}
+    topic_total: list[int] = field(default_factory=list)       # n_{k,.}
+    assignments: list[list[int]] = field(default_factory=list)
+    _rng: random.Random = field(default=None, repr=False)
+
+    @property
+    def vocab_size(self):
+        return len(self.vocab_tokens)
+
+    def init_assignments(self, seed: int):
+        self._rng = random.Random(seed)
+        K = self.n_topics
+        self.doc_topic = [[0] * K for _ in self.docs]
+        self.topic_word = [[0] * self.vocab_size for _ in range(K)]
+        self.topic_total = [0] * K
+        self.assignments = []
+        for d, doc in enumerate(self.docs):
+            zs = []
+            for w in doc:
+                k = self._rng.randrange(K)
+                zs.append(k)
+                self.doc_topic[d][k] += 1
+                self.topic_word[k][w] += 1
+                self.topic_total[k] += 1
+            self.assignments.append(zs)
+
+    def sweep(self):
+        """Resample every token's topic once from the collapsed conditional."""
+        K = self.n_topics
+        beta_v = self.beta * self.vocab_size
+        rng = self._rng
+        for d, doc in enumerate(self.docs):
+            ndk = self.doc_topic[d]
+            zs = self.assignments[d]
+            for j, w in enumerate(doc):
+                k = zs[j]
+                ndk[k] -= 1
+                self.topic_word[k][w] -= 1
+                self.topic_total[k] -= 1
+
+                total = 0.0
+                weights = []
+                for t in range(K):
+                    p = (ndk[t] + self.alpha) * (self.topic_word[t][w] + self.beta) \
+                        / (self.topic_total[t] + beta_v)
+                    total += p
+                    weights.append(total)
+                r = rng.random() * total
+                k_new = 0
+                while weights[k_new] <= r and k_new < K - 1:
+                    k_new += 1
+
+                zs[j] = k_new
+                ndk[k_new] += 1
+                self.topic_word[k_new][w] += 1
+                self.topic_total[k_new] += 1
+
+    def word_probabilities(self, topic: int) -> list[float]:
+        beta_v = self.beta * self.vocab_size
+        denom = self.topic_total[topic] + beta_v
+        return [(self.topic_word[topic][w] + self.beta) / denom for w in range(self.vocab_size)]
+
+
+def lda_train_reference(documents, n_topics: int = 10, alpha: float | None = None,
+              beta: float = 0.01, iterations: int = 500, seed: int = 0) -> TopicModelReference:
+    """The topic-major Gibbs sampler with its per-topic weight loop and linear
+    draw; `sides.lda_train` must match it exactly, sweep by sweep.
+
+    alpha defaults to 50 / n_topics.
+    """
+    docs_tokens = [list(doc) for doc in documents]
+    if not docs_tokens or all(not d for d in docs_tokens):
+        raise EmptyCorpus("no documents with tokens")
+    if n_topics < 1:
+        raise ValueError("n_topics must be >= 1")
+    vocab = sorted({t for doc in docs_tokens for t in doc})
+    token_index = {t: i for i, t in enumerate(vocab)}
+    docs = [[token_index[t] for t in doc] for doc in docs_tokens]
+    model = TopicModelReference(
+        n_topics=n_topics,
+        alpha=50.0 / n_topics if alpha is None else alpha,
+        beta=beta,
+        vocab_tokens=vocab,
+        docs=docs,
+    )
+    model.init_assignments(seed)
+    for _ in range(iterations):
+        model.sweep()
+    return model

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dishrec import pipeline
 from dishrec.cli import SETTINGS, load_config, main
 from dishrec.errors import InputError
-from dishrec.synth import synth_corpus, write_corpus_dir
+from dishrec.synth import load_corpus_dir, synth_corpus, write_corpus_dir
+
+from oracles import lda_train_reference
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +235,32 @@ class TestSidesAndEvaluate:
         for line in body:
             topic, token, prob = line.split("\t")
             assert 0.0 <= float(prob) <= 1.0
+
+    def test_lda_bytes_match_a_writer_fed_by_the_reference_sampler(self, corpus_dir, tmp_path,
+                                                                   capsys):
+        out = tmp_path / "topics.tsv"
+        code, stdout, _ = run(capsys, [
+            "sides", "--corpus", str(corpus_dir), "--method", "lda",
+            "--out", str(out), "--seed", "5", "--topics", "4", "--iterations", "60",
+        ])
+        assert code == 0
+        corpus = load_corpus_dir(corpus_dir)
+        token_map = pipeline.normalize_reviews(corpus.reviews, corpus.lexicons)
+        fragments = pipeline.make_fragments(corpus.reviews, token_map, corpus.items)
+        names = {it.item_id: "_".join(it.canonical_name.lower().split()) for it in corpus.items}
+        restaurant = {r.review_id: r.restaurant_id for r in corpus.reviews}
+        by_restaurant = {}
+        for f in fragments:
+            by_restaurant.setdefault(restaurant[f.review_id], []).append(names[f.item_id])
+        docs = [by_restaurant[rid] for rid in sorted(by_restaurant)]
+        reference = lda_train_reference(docs, n_topics=4, iterations=60, seed=5)
+        lines = ["# seed=5"]
+        for k in range(4):
+            probs = reference.word_probabilities(k)
+            ranked = sorted(zip(reference.vocab_tokens, probs), key=lambda tp: (-tp[1], tp[0]))
+            lines += [f"{k}\t{token}\t{p:.6f}" for token, p in ranked[:10]]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert stdout == f"topics=4 documents={len(docs)} seed=5\n"
 
     def test_evaluate_writes_report(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -537,3 +566,96 @@ def test_command_exit_code_fuzz(fuzz_paths, capsys, command, data):
     code, _, err = run(capsys, argv)
     assert code in (0, 2, 3, 4, 64)
     assert "Traceback" not in err
+
+
+# `sides` output for `synth --seed 3 --users 20 --restaurants 5 --items 6` with
+# the default flags, recorded from the topic-major sampler with its linear draw
+# (kept as tests/oracles.py `lda_train_reference`). It pins the Gibbs stream
+# across Python versions and sampler rewrites.
+GOLDEN_SIDES = {
+    "lda": ("topics=10 documents=5 seed=0\n", """\
+# seed=0
+0\tpizza\t0.995030
+0\tbiryani\t0.000994
+0\tburger\t0.000994
+0\tmomos\t0.000994
+0\tnoodles\t0.000994
+0\tpasta\t0.000994
+1\tpasta\t0.996172
+1\tbiryani\t0.000766
+1\tburger\t0.000766
+1\tmomos\t0.000766
+1\tnoodles\t0.000766
+1\tpizza\t0.000766
+2\tmomos\t0.997377
+2\tbiryani\t0.000525
+2\tburger\t0.000525
+2\tnoodles\t0.000525
+2\tpasta\t0.000525
+2\tpizza\t0.000525
+3\tburger\t0.996680
+3\tbiryani\t0.000664
+3\tmomos\t0.000664
+3\tnoodles\t0.000664
+3\tpasta\t0.000664
+3\tpizza\t0.000664
+4\tnoodles\t0.919602
+4\tpizza\t0.077335
+4\tbiryani\t0.000766
+4\tburger\t0.000766
+4\tmomos\t0.000766
+4\tpasta\t0.000766
+5\tbiryani\t0.944911
+5\tpasta\t0.052991
+5\tburger\t0.000525
+5\tmomos\t0.000525
+5\tnoodles\t0.000525
+5\tpizza\t0.000525
+6\tburger\t0.934620
+6\tpasta\t0.062889
+6\tbiryani\t0.000623
+6\tmomos\t0.000623
+6\tnoodles\t0.000623
+6\tpizza\t0.000623
+7\tpizza\t0.997231
+7\tbiryani\t0.000554
+7\tburger\t0.000554
+7\tmomos\t0.000554
+7\tnoodles\t0.000554
+7\tpasta\t0.000554
+8\tnoodles\t0.994481
+8\tbiryani\t0.001104
+8\tburger\t0.001104
+8\tmomos\t0.001104
+8\tpasta\t0.001104
+8\tpizza\t0.001104
+9\tbiryani\t0.689893
+9\tnoodles\t0.307044
+9\tburger\t0.000766
+9\tmomos\t0.000766
+9\tpasta\t0.000766
+9\tpizza\t0.000766
+"""),
+    "louvain": ("communities=1 items=6 seed=0\n", """\
+# seed=0
+0\t0
+1\t0
+2\t0
+3\t0
+4\t0
+5\t0
+"""),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_SIDES))
+def test_sides_golden_output(method, tmp_path, capsys):
+    corpus = tmp_path / "synth"
+    assert main(["synth", "--seed", "3", "--users", "20", "--restaurants", "5",
+                 "--items", "6", "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sides.tsv"
+    code, stdout, err = run(capsys, ["sides", "--corpus", str(corpus), "--method", method,
+                                     "--out", str(out)])
+    assert (code, stdout, err) == (0, GOLDEN_SIDES[method][0], "")
+    assert out.read_text(encoding="utf-8") == GOLDEN_SIDES[method][1]

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dishrec import sides
-from dishrec.errors import EmptyCorpus, EmptyGraph, ModularityDecreased, TrainingError
+from dishrec.errors import (
+    EmptyCorpus,
+    EmptyGraph,
+    InvalidConfig,
+    ModularityDecreased,
+    TrainingError,
+)
 from dishrec.fragmenter import ItemFragment
 from dishrec.sides import (
     TopicModel,
@@ -13,7 +21,7 @@ from dishrec.sides import (
     top_words,
 )
 
-from oracles import best_partition_by_modularity
+from oracles import best_partition_by_modularity, lda_train_reference
 
 
 def frag(review, item):
@@ -49,6 +57,16 @@ class TestComentionGraph:
         g = WeightedGraph()
         with pytest.raises(ValueError):
             g.add_edge(1, 1)
+
+    @pytest.mark.parametrize("weight", [0, -1, float("nan"), float("inf"), float("-inf")])
+    def test_non_positive_or_non_finite_weight_rejected(self, weight):
+        g = WeightedGraph()
+        g.add_edge(1, 2, 1)
+        with pytest.raises(ValueError):
+            g.add_edge(2, 3, weight)
+        assert g.total_weight() == 1.0
+        assert g.nodes == {1, 2}
+        assert louvain(g) == {1: 0, 2: 0}
 
 
 class TestModularity:
@@ -241,3 +259,75 @@ class TestLDA:
         a = lda_train(docs, n_topics=3, iterations=20, seed=11)
         b = lda_train(docs, n_topics=3, iterations=20, seed=11)
         assert a.assignments == b.assignments
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_topics": 0},
+        {"n_topics": -2},
+        {"alpha": -1.0},
+        {"alpha": 0.0},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"beta": 0.0},
+        {"beta": -0.5},
+        {"beta": float("nan")},
+        {"beta": float("inf")},
+        {"iterations": -1},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_invalid_settings_raise_invalid_config(self, kwargs):
+        docs = [["x", "y"], ["y", "z"]]
+        with pytest.raises(InvalidConfig):
+            lda_train(docs, **{"n_topics": 2, "iterations": 1, **kwargs})
+
+
+def assert_same_state(model, reference):
+    assert model.assignments == reference.assignments
+    assert model.doc_topic == reference.doc_topic
+    assert model.topic_word == reference.topic_word
+    assert model.topic_total == reference.topic_total
+    for k in range(model.n_topics):
+        assert model.word_probabilities(k) == reference.word_probabilities(k)
+
+
+def assert_sweeps_match_reference(docs, sweeps, **kwargs):
+    model = lda_train(docs, iterations=0, **kwargs)
+    reference = lda_train_reference(docs, iterations=0, **kwargs)
+    assert_same_state(model, reference)
+    for _ in range(sweeps):
+        model.sweep()
+        reference.sweep()
+        assert_same_state(model, reference)
+
+
+_TOKENS = st.sampled_from("abcdef")  # few types, so tokens repeat within documents
+
+
+class TestLDAReferenceEquivalence:
+    """The sampler must draw exactly the reference's topics, sweep by sweep."""
+
+    @pytest.mark.parametrize("n_topics,alpha,beta,seed", [
+        (2, None, 0.01, 42),
+        (3, 0.1, 0.01, 7),
+        (10, None, 0.01, 1),
+        (1, None, 0.5, 0),
+        (12, 1e308, 0.01, 5),
+    ])
+    def test_planted_documents_every_sweep(self, n_topics, alpha, beta, seed):
+        docs, _, _ = planted_documents(seed=seed, docs_per_group=6, doc_len=12)
+        assert_sweeps_match_reference(docs, 25, n_topics=n_topics, alpha=alpha, beta=beta,
+                                      seed=seed)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        docs=st.lists(st.one_of(st.just([]), st.lists(_TOKENS, min_size=1, max_size=1),
+                                st.lists(_TOKENS, max_size=9)), min_size=1, max_size=7)
+        .filter(lambda docs: any(docs)),
+        n_topics=st.integers(1, 12),
+        alpha=st.one_of(st.floats(-6, 6).map(lambda e: 10.0 ** e), st.just(1e308)),
+        beta=st.floats(-6, 6).map(lambda e: 10.0 ** e),
+        seed=st.integers(0, 2 ** 32 - 1),
+        sweeps=st.integers(0, 5),
+    )
+    def test_matches_reference_property(self, docs, n_topics, alpha, beta, seed, sweeps):
+        assert_sweeps_match_reference(docs, sweeps, n_topics=n_topics, alpha=alpha, beta=beta,
+                                      seed=seed)
+
