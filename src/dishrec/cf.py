@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fm
 from .errors import InvalidConfig, UnknownColumn, UnknownItem, UnknownUser
 
 EQ1_CENTERS = ("user", "item")  # deviation baselines of predict_user_item
@@ -221,6 +222,15 @@ def _top_neighbors(sims, entries, skip, n_neighbors):
     return ranked[:n_neighbors]
 
 
+def _abs_sum(neighbors):
+    """sum |sim| over the neighbours, added left to right: builtin ``sum``
+    compensates float sums since Python 3.12, which would change the bits."""
+    denom = 0.0
+    for _, _, s, _ in neighbors:
+        denom += abs(s)
+    return denom
+
+
 def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarray,
                       n_neighbors: int | None = 20, center: str = "user",
                       clamp: bool = True) -> float:
@@ -246,7 +256,7 @@ def predict_user_item(user_id, column, matrix: RatingMatrix, user_sims: np.ndarr
     base = matrix.user_mean(k)
     neighbors = _top_neighbors(user_sims[k][matrix.column_users[m]].tolist(),
                                matrix.column_entries[m], k, n_neighbors)
-    denom = sum(abs(s) for _, _, s, _ in neighbors)
+    denom = _abs_sum(neighbors)
     if denom == 0.0:
         pred = base
     else:
@@ -275,11 +285,13 @@ def predict_item_item(user_id, column, matrix: RatingMatrix, column_sims: np.nda
         raise UnknownColumn(str(column))
     neighbors = _top_neighbors(column_sims[m][matrix.user_columns[k]].tolist(),
                                matrix.user_entries[k], m, n_neighbors)
-    denom = sum(abs(s) for _, _, s, _ in neighbors)
+    denom = _abs_sum(neighbors)
     if denom == 0.0:
         pred = matrix.user_mean(k)
     else:
-        num = sum(s * r for _, _, s, r in neighbors)
+        num = 0.0
+        for _, _, s, r in neighbors:
+            num += s * r
         pred = num / denom
     return float(min(5.0, max(1.0, pred))) if clamp else float(pred)
 
@@ -359,10 +371,8 @@ class Recommender:
         if method == "fm":
             if self.fm_model is None or self.fm_features is None:
                 raise ValueError("no factorization machine attached")
-            from .fm import fm_predict  # deferred: fm does not import cf
-
             x = self.fm_features.encode(user_id, column)
-            return float(min(5.0, max(1.0, fm_predict(x, self.fm_model))))
+            return float(min(5.0, max(1.0, fm.fm_predict(x, self.fm_model))))
         if method == "baseline":
             return baseline_predict(column, self._restaurant_fragments.get(column[0], ()),
                                     fallback=self.matrix.global_mean())

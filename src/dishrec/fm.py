@@ -33,6 +33,14 @@ from .errors import DivergenceDetected, FeatureIndexOutOfRange, InvalidConfig, U
 
 @dataclass
 class FMModel:
+    """A trained factorization machine.
+
+    Read-only after construction: ``__post_init__`` checks that ``V`` is
+    n_features x kdim (InvalidConfig otherwise) and takes the views that
+    prediction reads -- ``w`` as Python floats, ``V`` as row lists and each
+    row's squared norm -- which would go stale if ``w`` or ``V`` changed.
+    """
+
     w0: float
     w: np.ndarray            # n_features
     V: np.ndarray            # n_features x kdim
@@ -40,6 +48,16 @@ class FMModel:
     lambda_v: float
     kdim: int
     history: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if np.shape(self.V) != (len(self.w), self.kdim):
+            raise InvalidConfig(f"V must be {len(self.w)} x {self.kdim}, "
+                                f"got shape {np.shape(self.V)}")
+        self._w = np.asarray(self.w, dtype=float).tolist()
+        self._V = np.asarray(self.V, dtype=float).tolist()
+        # builtin sum, as in fm_predict_reference: it is compensated since
+        # Python 3.12, so only the same expression gives its floats everywhere
+        self._norms = [sum(map(mul, row, row)) for row in self._V]
 
     @property
     def n_features(self):
@@ -95,41 +113,32 @@ def _check_indices(x, n):
             raise FeatureIndexOutOfRange(f"feature index {i} outside 0..{n - 1}")
 
 
-def _forward(x, w0, w, V, kdim):
-    """Prediction and factor sums s_f = sum_i v_if x_i of instance x.
-
-    ``w`` and ``V`` map a feature index to its weight and to its factor row,
-    a list of ``kdim`` Python floats.
-    """
-    y = w0
-    sq = 0.0
-    s = [0.0] * kdim
-    for i, v in x:
-        row = V[i]
-        y += w[i] * v
-        sq += sum(map(mul, row, row)) * v * v
-        s = [a + r * v for a, r in zip(s, row)]
-    return y + 0.5 * (sum(map(mul, s, s)) - sq), s
-
-
-def _active(x, model: FMModel):
-    """The weights and factor rows of x's features, keyed by feature index."""
+def _forward(x, model: FMModel):
+    """Prediction and factor sums s_f = sum_i v_if x_i of instance x, read
+    from the model's list views; the indices are checked first, since a
+    list would wrap a negative one."""
     _check_indices(x, model.n_features)
-    return {i: float(model.w[i]) for i, _ in x}, {i: model.V[i].tolist() for i, _ in x}
+    w, V, norms = model._w, model._V, model._norms
+    y = model.w0
+    sq = 0.0
+    s = [0.0] * model.kdim
+    for i, v in x:
+        y += w[i] * v
+        sq += norms[i] * v * v
+        s = [a + r * v for a, r in zip(s, V[i])]
+    return y + 0.5 * (sum(map(mul, s, s)) - sq), s
 
 
 def fm_predict(x, model: FMModel) -> float:
     """w0 + <w, x> + pairwise interactions in the linear-time form."""
-    w, V = _active(x, model)
-    return float(_forward(x, model.w0, w, V, model.kdim)[0])
+    return float(_forward(x, model)[0])
 
 
 def fm_predict_gradients(x, model: FMModel):
     """d prediction / d (w0, active w_i, active V rows), from the kernel that
     training uses; the finite-difference checks test it."""
-    w, V = _active(x, model)
-    _, s = _forward(x, model.w0, w, V, model.kdim)
-    grad_V = [(i, np.array([v * (a - r * v) for a, r in zip(s, V[i])])) for i, v in x]
+    _, s = _forward(x, model)
+    grad_V = [(i, np.array([v * (a - r * v) for a, r in zip(s, model._V[i])])) for i, v in x]
     return 1.0, [(i, v) for i, v in x], grad_V
 
 

@@ -8,6 +8,7 @@ so that agreement between the two paths is meaningful.
 import math
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -410,6 +411,40 @@ def fm_train_stepwise_reference(train, validation=None, lr=0.001, epochs=100, kd
 
 
 # ---------------------------------------------------------------------------
+# FM prediction as it was before FMModel kept list views: each call converts
+# the weights and factor rows of x's features, keyed by feature index, and
+# runs the scalar forward pass on them. ``fm.fm_predict`` must equal it.
+
+def _ref_active(x, model):
+    _ref_check_indices(x, len(model.w))
+    return {i: float(model.w[i]) for i, _ in x}, {i: model.V[i].tolist() for i, _ in x}
+
+
+def _ref_forward(x, w0, w, V, kdim):
+    y = w0
+    sq = 0.0
+    s = [0.0] * kdim
+    for i, v in x:
+        row = V[i]
+        y += w[i] * v
+        sq += sum(map(mul, row, row)) * v * v
+        s = [a + r * v for a, r in zip(s, row)]
+    return y + 0.5 * (sum(map(mul, s, s)) - sq), s
+
+
+def fm_predict_reference(x, model):
+    w, V = _ref_active(x, model)
+    return float(_ref_forward(x, model.w0, w, V, model.kdim)[0])
+
+
+def fm_predict_gradients_reference(x, model):
+    w, V = _ref_active(x, model)
+    _, s = _ref_forward(x, model.w0, w, V, model.kdim)
+    grad_V = [(i, np.array([v * (a - r * v) for a, r in zip(s, V[i])])) for i, v in x]
+    return 1.0, [(i, v) for i, v in x], grad_V
+
+
+# ---------------------------------------------------------------------------
 # CF queries by scanning: the implementation the index-backed queries in
 # dishrec.cf and dishrec.evalx replaced. Every mean is recomputed on each
 # call; raters, rated columns and an item's columns are found by looping over
@@ -466,7 +501,9 @@ def predict_user_item_reference(user_id, column, matrix, user_sims, n_neighbors=
     base = _ref_user_mean(matrix, k)
     raters = [a for a in range(matrix.n_users) if a != k and matrix.mask[a, m]]
     neighbors = _ref_top_neighbors(user_sims[k], raters, n_neighbors)
-    denom = sum(abs(user_sims[k, a]) for a in neighbors)
+    denom = 0.0
+    for a in neighbors:
+        denom += abs(user_sims[k, a])
     if denom == 0.0:
         pred = base
     else:
@@ -484,11 +521,15 @@ def predict_item_item_reference(user_id, column, matrix, column_sims, n_neighbor
     k, m = _ref_index(matrix, user_id, column)
     rated = [b for b in range(matrix.n_columns) if b != m and matrix.mask[k, b]]
     neighbors = _ref_top_neighbors(column_sims[m], rated, n_neighbors)
-    denom = sum(abs(column_sims[m, b]) for b in neighbors)
+    denom = 0.0
+    for b in neighbors:
+        denom += abs(column_sims[m, b])
     if denom == 0.0:
         pred = _ref_user_mean(matrix, k) if matrix.mask[k].any() else _ref_global_mean(matrix)
     else:
-        num = sum(column_sims[m, b] * matrix.ratings[k, b] for b in neighbors)
+        num = 0.0
+        for b in neighbors:
+            num += column_sims[m, b] * matrix.ratings[k, b]
         pred = num / denom
     return float(min(5.0, max(1.0, pred))) if clamp else float(pred)
 
@@ -534,7 +575,8 @@ def side_score_reference(engine, item_id, restaurant_id):
 
 
 def predict_reference(engine, user_id, column, method):
-    """``Recommender.predict`` by scanning; the FM path is the engine's own."""
+    """``Recommender.predict`` by scanning; the FM path encodes with the
+    engine's feature map and predicts with ``fm_predict_reference``."""
     if method == "user":
         return predict_user_item_reference(user_id, column, engine.matrix, engine.user_sims,
                                            engine.n_neighbors, engine.eq1_center)
@@ -544,6 +586,9 @@ def predict_reference(engine, user_id, column, method):
     if method == "baseline":
         return _ref_baseline_predict(column, engine.scored_fragments,
                                      _ref_global_mean(engine.matrix))
+    if method == "fm":
+        x = engine.fm_features.encode(user_id, column)
+        return float(min(5.0, max(1.0, fm_predict_reference(x, engine.fm_model))))
     return engine.predict(user_id, column, method)
 
 

@@ -215,12 +215,13 @@ def test_criterion_05_gradient_checks():
             step = 1e-6
 
             def perturbed(attr, ix, delta):
-                m2 = FMModel(model.w0, model.w.copy(), model.V.copy(), 0.0, 0.0, kdim)
+                # a model is read-only once built, so perturb before building
+                params = {"w0": model.w0, "w": model.w.copy(), "V": model.V.copy()}
                 if attr == "w0":
-                    m2.w0 += delta
+                    params["w0"] += delta
                 else:
-                    getattr(m2, attr)[ix] += delta
-                return fm_predict(x, m2)
+                    params[attr][ix] += delta
+                return fm_predict(x, FMModel(**params, lambda_w=0.0, lambda_v=0.0, kdim=kdim))
 
             fd = (perturbed("w0", None, step) - perturbed("w0", None, -step)) / (2 * step)
             assert abs(fd - g_w0) <= 1e-6 * max(1.0, abs(fd))

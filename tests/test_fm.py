@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dishrec import fm
 from dishrec.errors import DivergenceDetected, FeatureIndexOutOfRange, InvalidConfig
 from dishrec.fm import (
     FMModel,
@@ -13,14 +14,19 @@ from dishrec.fm import (
     fm_predict_gradients,
     fm_train,
 )
+from dishrec.pipeline import build_recommender
+from dishrec.synth import synth_corpus
 
 from oracles import (
     fm_naive,
+    fm_predict_gradients_reference,
+    fm_predict_reference,
     fm_sgd_step_reference,
     fm_stepwise_forward,
     fm_stepwise_step,
     fm_train_reference,
     fm_train_stepwise_reference,
+    recommend_top_k_reference,
 )
 
 
@@ -69,6 +75,8 @@ class TestPredict:
         model = random_model(np.random.default_rng(0), 3, 2)
         with pytest.raises(FeatureIndexOutOfRange):
             fm_predict([(5, 1.0)], model)
+        with pytest.raises(FeatureIndexOutOfRange):  # a list view would wrap it
+            fm_predict([(0, 1.0), (-1, 1.0)], model)
 
     def test_prediction_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -81,13 +89,14 @@ class TestPredict:
             step = 1e-6
 
             def pred_with(attr, ix, delta):
-                m2 = FMModel(model.w0, model.w.copy(), model.V.copy(),
-                             model.lambda_w, model.lambda_v, model.kdim)
+                # a model is read-only once built, so perturb before building
+                params = {"w0": model.w0, "w": model.w.copy(), "V": model.V.copy()}
                 if attr == "w0":
-                    m2.w0 += delta
+                    params["w0"] += delta
                 else:
-                    getattr(m2, attr)[ix] += delta
-                return fm_predict(x, m2)
+                    params[attr][ix] += delta
+                return fm_predict(x, FMModel(**params, lambda_w=model.lambda_w,
+                                             lambda_v=model.lambda_v, kdim=model.kdim))
 
             fd = (pred_with("w0", None, step) - pred_with("w0", None, -step)) / (2 * step)
             assert abs(fd - g_w0) <= 1e-6 * max(1.0, abs(fd))
@@ -98,6 +107,70 @@ class TestPredict:
                 for f in range(kdim):
                     fd = (pred_with("V", (i, f), step) - pred_with("V", (i, f), -step)) / (2 * step)
                     assert abs(fd - gv[f]) <= 1e-6 * max(1.0, abs(fd))
+
+
+class TestModelViews:
+    """Prediction reads the list views a model takes once, at construction;
+    it must equal the per-call conversion it replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("V", [
+        np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]]),  # kdim 3, declared 2
+        np.ones((1, 2)),                               # too few rows
+        np.ones((3, 2)),                               # too many rows
+        np.ones(4),                                    # not a matrix
+    ], ids=["kdim", "short", "long", "flat"])
+    def test_shape_mismatch_rejected(self, V):
+        with pytest.raises(InvalidConfig):
+            FMModel(0.0, np.zeros(2), V, 0.0, 0.0, kdim=2)
+
+    def test_predictions_and_gradients_equal_reference(self):
+        rng = np.random.default_rng(47)
+        for _ in range(400):
+            n = int(rng.integers(1, 8))
+            kdim = int(rng.integers(1, 10))
+            model = random_model(rng, n, kdim, scale=float(rng.choice([0.05, 1.0, 40.0])))
+            width = int(rng.integers(1, 5))
+            # repeated indices; zero, negative and non-unit values
+            values = rng.choice([0.0, 1.0, -1.0, 2.5], size=width) * rng.uniform(0.1, 3.0, width)
+            x = [(int(i), float(v)) for i, v in zip(rng.integers(0, n, size=width), values)]
+            assert fm_predict(x, model) == fm_predict_reference(x, model), x
+            g_w0, grad_w, grad_V = fm_predict_gradients(x, model)
+            r_w0, r_w, r_V = fm_predict_gradients_reference(x, model)
+            assert (g_w0, grad_w) == (r_w0, r_w)
+            assert [(i, g.tolist()) for i, g in grad_V] == [(i, g.tolist()) for i, g in r_V]
+
+
+@pytest.fixture(scope="module")
+def fm_engine():
+    return build_recommender(synth_corpus(1, 30, 8, 10), seed=1)
+
+
+class TestQueries:
+    def test_recommend_top_k_equals_reference(self, fm_engine):
+        items = sorted({item_id for _, item_id in fm_engine.matrix.columns})
+        for user_id in fm_engine.matrix.user_ids:
+            for item_id in items:
+                got = fm_engine.recommend_top_k(user_id, item_id, "fm", k=10, side_weight=0.2)
+                want = recommend_top_k_reference(fm_engine, user_id, item_id, "fm", k=10,
+                                                 side_weight=0.2)
+                assert got == want, (user_id, item_id)
+
+    def test_one_fm_predict_call_per_candidate(self, fm_engine, monkeypatch):
+        """The query resolves ``fm.fm_predict`` at call time, once per
+        candidate column, so a wrapper on the module attribute sees each."""
+        calls = []
+        real = fm.fm_predict
+
+        def counting(x, model):
+            calls.append(x)
+            return real(x, model)
+
+        monkeypatch.setattr(fm, "fm_predict", counting)
+        matrix = fm_engine.matrix
+        user_id, item_id = matrix.user_ids[3], matrix.columns[0][1]
+        fm_engine.recommend_top_k(user_id, item_id, "fm")
+        assert calls == [fm_engine.fm_features.encode(user_id, matrix.columns[j])
+                         for j in matrix.columns_for_item(item_id)]
 
 
 def planted_dataset(rng, n=30, kdim=2, n_samples=300, sigma=0.1):
@@ -313,9 +386,6 @@ class TestFeatureMap:
 
 def _synth_fm_dataset():
     """The FM dataset of the 100-user synthetic corpus."""
-    from dishrec.pipeline import build_recommender
-    from dishrec.synth import synth_corpus
-
     engine = build_recommender(synth_corpus(1, 100, 20, 24), seed=1, with_fm=False)
     data, fmap = build_fm_dataset(engine.matrix)
     return data, fmap.n_features

@@ -1,3 +1,7 @@
+import math
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -298,6 +302,50 @@ def assert_sweeps_match_reference(docs, sweeps, **kwargs):
         assert_same_state(model, reference)
 
 
+class BoundaryDraws:
+    """A ``random()`` for the reference sampler that puts each draw on one of
+    the reference's own cumulative boundaries: for the token about to be
+    drawn it recomputes the reference's weights (same expression, same order)
+    and returns ``weights[k] / total`` for a seeded k below the last topic,
+    moved by an ulp where that makes ``random() * total == weights[k]``
+    exactly. Replaying the values to another sampler moves its draw across
+    that boundary whenever its ``weights[k]`` differs in the last bit."""
+
+    def __init__(self, reference, seed):
+        self.reference = reference
+        self.pick = random.Random(seed)
+        self.tokens = iter(())
+        self.drawn = []
+        self.exact = 0
+
+    def random(self):
+        ref = self.reference
+        try:
+            d, w = next(self.tokens)
+        except StopIteration:  # a new sweep
+            self.tokens = iter([(d, w) for d, doc in enumerate(ref.docs) for w in doc])
+            d, w = next(self.tokens)
+        beta_v = ref.beta * ref.vocab_size
+        total = 0.0
+        weights = []
+        for t in range(ref.n_topics):
+            p = (ref.doc_topic[d][t] + ref.alpha) * (ref.topic_word[t][w] + ref.beta) \
+                / (ref.topic_total[t] + beta_v)
+            total += p
+            weights.append(total)
+        r = 0.5
+        if ref.n_topics > 1:
+            edge = weights[self.pick.randrange(ref.n_topics - 1)]
+            r = edge / total
+            for near in (r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)):
+                if near * total == edge:
+                    r = near
+                    self.exact += 1
+                    break
+        self.drawn.append(r)
+        return r
+
+
 _TOKENS = st.sampled_from("abcdef")  # few types, so tokens repeat within documents
 
 
@@ -315,6 +363,28 @@ class TestLDAReferenceEquivalence:
         docs, _, _ = planted_documents(seed=seed, docs_per_group=6, doc_len=12)
         assert_sweeps_match_reference(docs, 25, n_topics=n_topics, alpha=alpha, beta=beta,
                                       seed=seed)
+
+    @pytest.mark.parametrize("n_topics,alpha,beta,seed", [
+        (2, None, 0.01, 42),
+        (3, 0.1, 0.01, 7),
+        (10, None, 0.01, 1),
+        (6, 0.3, 0.2, 11),
+    ])
+    def test_draws_on_exact_boundaries(self, n_topics, alpha, beta, seed):
+        """Every draw lands on a boundary of the reference's weights, so the
+        sampler matches only if each of its weights is the same float."""
+        docs, _, _ = planted_documents(seed=seed, docs_per_group=6, doc_len=12)
+        kwargs = dict(n_topics=n_topics, alpha=alpha, beta=beta, seed=seed, iterations=0)
+        model = lda_train(docs, **kwargs)
+        reference = lda_train_reference(docs, **kwargs)
+        reference._rng = draws = BoundaryDraws(reference, seed)
+        for _ in range(8):
+            start = len(draws.drawn)
+            reference.sweep()
+            model._rng = SimpleNamespace(random=iter(draws.drawn[start:]).__next__)
+            model.sweep()
+            assert_same_state(model, reference)
+        assert draws.exact >= 0.8 * len(draws.drawn)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
