@@ -70,7 +70,8 @@ class LexiconSet:
 
     Emoticon values must be POS_EMO or NEG_EMO. A slang key must not occur
     in its own expansion (expansion is single-pass, so this guards against
-    accidental rewrite loops rather than runtime hangs).
+    accidental rewrite loops rather than runtime hangs). The longest-first
+    emoticon order that normalize() replaces in is taken at construction.
     """
 
     stopwords: frozenset[str] = frozenset()
@@ -84,6 +85,8 @@ class LexiconSet:
         for key, expansion in self.slang_map.items():
             if key in expansion:
                 raise InputError(f"slang {key!r} expands to a sequence containing itself")
+        object.__setattr__(self, "_emoticons_longest_first",
+                           tuple(sorted(self.emoticon_map, key=len, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -331,7 +334,7 @@ def normalize(text: str, lex: LexiconSet) -> list[str]:
     4. slang expansion, one left-to-right pass (expansions are not re-expanded);
     5. stopword removal; sentinels and clause markers are never removed.
     """
-    for emo in sorted(lex.emoticon_map, key=len, reverse=True):
+    for emo in lex._emoticons_longest_first:
         if emo in text:
             text = text.replace(emo, f" {lex.emoticon_map[emo]} ")
 

@@ -32,10 +32,6 @@ class DuplicateId(InputError):
     pass
 
 
-class MalformedArcs(InputError):
-    pass
-
-
 class InvalidConfig(InputError):
     pass
 

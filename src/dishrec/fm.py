@@ -36,9 +36,11 @@ class FMModel:
     """A trained factorization machine.
 
     Read-only after construction: ``__post_init__`` checks that ``V`` is
-    n_features x kdim (InvalidConfig otherwise) and takes the views that
-    prediction reads -- ``w`` as Python floats, ``V`` as row lists and each
-    row's squared norm -- which would go stale if ``w`` or ``V`` changed.
+    n_features x kdim (InvalidConfig otherwise), keeps non-writeable float
+    copies of ``w`` and ``V``, and takes the views that prediction reads --
+    ``w`` as Python floats, ``V`` as row lists and each row's squared norm.
+    An in-place write to ``w`` or ``V``, which the views would not see,
+    raises ValueError instead.
     """
 
     w0: float
@@ -53,8 +55,12 @@ class FMModel:
         if np.shape(self.V) != (len(self.w), self.kdim):
             raise InvalidConfig(f"V must be {len(self.w)} x {self.kdim}, "
                                 f"got shape {np.shape(self.V)}")
-        self._w = np.asarray(self.w, dtype=float).tolist()
-        self._V = np.asarray(self.V, dtype=float).tolist()
+        self.w = np.array(self.w, dtype=float)
+        self.V = np.array(self.V, dtype=float)
+        self.w.setflags(write=False)
+        self.V.setflags(write=False)
+        self._w = self.w.tolist()
+        self._V = self.V.tolist()
         # builtin sum, as in fm_predict_reference: it is compensated since
         # Python 3.12, so only the same expression gives its floats everywhere
         self._norms = [sum(map(mul, row, row)) for row in self._V]

@@ -1,17 +1,19 @@
 """Locate food-item mentions in normalized reviews and scope opinion spans.
 
-Two scoping strategies are provided: deterministic clause scoping (default)
-and arc scoping for reviews that come with externally produced dependency
-arcs.
+A review is read once, left to right. The scan matches item aliases
+(greedy, longest first, each token in at most one mention) and splits
+clauses at clause markers in the same pass. As each clause closes, the
+attachment rule places it: a clause with a mention goes to every item it
+mentions; a mention-less clause goes to the nearest preceding mention in
+its sentence, else the nearest following one, else it is dropped.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .corpus import CLAUSE_MARKERS, SENT_BREAK
-from .errors import InputError, MalformedArcs, MalformedRecord
+from .corpus import CLAUSE_MARKERS, COORD_MARKERS, SENT_BREAK
+from .errors import InputError, MalformedRecord
 
 
 @dataclass(frozen=True)
@@ -24,18 +26,11 @@ class LexiconItem:
 
 
 @dataclass(frozen=True)
-class Mention:
-    item_id: int
-    start: int
-    end: int  # half-open span into the review token list
-
-
-@dataclass(frozen=True)
 class ItemFragment:
     review_id: str
     item_id: int
     tokens: tuple[str, ...]
-    clause_index: int  # index of the first clause mentioning the item; 0 in arc mode
+    clause_index: int  # index of the first clause mentioning the item
 
 
 def load_item_lexicon(path) -> list[LexiconItem]:
@@ -68,33 +63,13 @@ def load_item_lexicon(path) -> list[LexiconItem]:
                 aliases.append(canonical)
             if not aliases:
                 raise MalformedRecord(lineno, "item has no usable alias")
+            for alias in aliases:
+                if marker := _marker_in(alias):
+                    raise MalformedRecord(lineno, f"alias {' '.join(alias)!r} contains the "
+                                                  f"clause marker {marker!r}")
             items.append(LexiconItem(item_id, name, tuple(aliases)))
     _check_disjoint_aliases(items)
     return items
-
-
-def load_arcs(path) -> dict[str, list[tuple[int, int, str]]]:
-    """Load externally produced dependency arcs keyed by review id.
-
-    Lines are ``review_id<TAB>head<TAB>dependent<TAB>relation``; ``#``
-    comments ignored. Index validity is checked later, against the review's
-    token list, by scope_fragments_with_arcs.
-    """
-    arcs: dict[str, list[tuple[int, int, str]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise MalformedRecord(lineno, "expected review_id<TAB>head<TAB>dep<TAB>relation")
-            try:
-                head, dep = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise MalformedRecord(lineno, f"non-integer arc endpoints {parts[1:3]}")
-            arcs.setdefault(parts[0], []).append((head, dep, parts[3]))
-    return arcs
 
 
 def save_item_lexicon(items, path):
@@ -117,225 +92,104 @@ def _check_disjoint_aliases(items):
             owner[alias] = it.item_id
 
 
-def find_mentions(tokens, items) -> list[Mention]:
-    """Greedy longest-match-first, left-to-right scan for item aliases.
+def _marker_in(alias):
+    """The first clause-marker token of an alias, or None.
 
-    Multi-token aliases win over shorter ones starting at the same position,
-    and a matched token is consumed (each token belongs to at most one
-    mention).
+    A marker splits clauses, so an alias holding one could never sit inside
+    a single clause; such aliases are rejected rather than matched.
+    """
+    return next((tok for tok in alias if tok in CLAUSE_MARKERS), None)
+
+
+_BREAK = object()  # index values of SENT_BREAK and of the other clause markers
+_COORD = object()
+
+
+def build_alias_index(items) -> dict:
+    """Map each alias's first token to its ``(length, alias, item_id)``
+    candidates, longest first, and each clause marker to _BREAK or _COORD.
+
+    Of two items listing the same alias, the first in ``items`` keeps it.
+    An empty alias or one holding a clause marker raises InputError.
     """
     by_first = {}
     for it in items:
         for alias in it.aliases:
-            by_first.setdefault(alias[0], []).append((alias, it.item_id))
-    for cands in by_first.values():
-        cands.sort(key=lambda c: (-len(c[0]), c[0]))
-
-    mentions = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        matched = False
-        for alias, item_id in by_first.get(tokens[i], ()):
-            end = i + len(alias)
-            if end <= n and tuple(tokens[i:end]) == alias:
-                mentions.append(Mention(item_id, i, end))
-                i = end
-                matched = True
-                break
-        if not matched:
-            i += 1
-    return mentions
+            if not alias:
+                raise InputError(f"item {it.item_id} has an empty alias")
+            if marker := _marker_in(alias):
+                raise InputError(f"item {it.item_id} alias {' '.join(alias)!r} contains "
+                                 f"the clause marker {marker!r}")
+            by_first.setdefault(alias[0], []).append((len(alias), tuple(alias), it.item_id))
+    index = {tok: tuple(sorted(cands, key=lambda c: -c[0]))
+                   for tok, cands in by_first.items()}
+    index.update(dict.fromkeys(COORD_MARKERS, _COORD))
+    index[SENT_BREAK] = _BREAK
+    return index
 
 
-@dataclass(frozen=True)
-class _Clause:
-    ordinal: int
-    sentence: int
-    indices: tuple[int, ...]  # token indices, markers excluded
+def fragment_review(tokens, index, review_id="") -> list[ItemFragment]:
+    """One fragment per mentioned item, in first-mention order: the tokens
+    (markers excluded) of the clauses attached to the item, in review order.
 
-
-def _split_clauses(tokens) -> list[_Clause]:
-    clauses = []
-    current = []
-    sentence = 0
+    ``index`` comes from build_alias_index.
+    """
+    first_clause: dict[int, int] = {}  # item -> ordinal of its first clause; keys in mention order
+    kept: dict[int, list[str]] = {}    # item -> its attached clause tokens
+    pending = []   # mention-less clauses of this sentence awaiting a following mention
+    last = None    # item of the latest mention in this sentence
+    clause = []
+    here = []      # items mentioned in the open clause, first-mention order
+    ordinal = 0
 
     def close():
-        if current:
-            clauses.append(_Clause(len(clauses), sentence, tuple(current)))
-            current.clear()
-
-    for idx, tok in enumerate(tokens):
-        if tok == SENT_BREAK:
-            close()
-            sentence += 1
-        elif tok in CLAUSE_MARKERS:
-            close()
-        else:
-            current.append(idx)
-    close()
-    return clauses
-
-
-def scope_fragments(tokens, mentions, review_id="") -> list[ItemFragment]:
-    """Assign clause tokens to the items mentioned in each clause.
-
-    The review is segmented into clauses at clause markers. Every clause's
-    tokens go to all items mentioned inside it (shared modifiers are
-    duplicated). A clause with no mention attaches to the nearest preceding
-    mention in the same sentence, else the nearest following one, else it is
-    dropped. One fragment per item, clauses concatenated in order.
-    """
-    if not mentions:
-        return []
-    clauses = _split_clauses(tokens)
-    clause_of_token = {}
-    for cl in clauses:
-        for idx in cl.indices:
-            clause_of_token[idx] = cl.ordinal
-
-    mentions = sorted(mentions, key=lambda m: m.start)
-    mention_clause = [clause_of_token[m.start] for m in mentions]
-    clause_mentions = {}
-    for m_i, cl_i in enumerate(mention_clause):
-        clause_mentions.setdefault(cl_i, []).append(m_i)
-
-    # item -> ordered clause ordinals (deduplicated)
-    assigned: dict[int, list[int]] = {}
-
-    def assign(item_id, clause_ordinal):
-        lst = assigned.setdefault(item_id, [])
-        if clause_ordinal not in lst:
-            lst.append(clause_ordinal)
-
-    for cl in clauses:
-        here = clause_mentions.get(cl.ordinal)
+        nonlocal clause, here, pending, ordinal
         if here:
-            for m_i in here:
-                assign(mentions[m_i].item_id, cl.ordinal)
+            for item in here:
+                if item not in first_clause:
+                    first_clause[item] = ordinal
+                    kept[item] = []
+            for earlier in pending:
+                kept[here[0]].extend(earlier)
+            pending = []
+            for item in here:
+                kept[item].extend(clause)
+            here = []
+        elif last is not None:
+            kept[last].extend(clause)
+        else:
+            pending.append(clause)
+        clause = []
+        ordinal += 1
+
+    skip = 0
+    for i, tok in enumerate(tokens):
+        if skip:  # inside a multi-token mention, already added to the clause
+            skip -= 1
             continue
-        if not cl.indices:
-            continue
-        first, last = cl.indices[0], cl.indices[-1]
-        preceding = [
-            m_i
-            for m_i, m in enumerate(mentions)
-            if m.end <= first and clauses[mention_clause[m_i]].sentence == cl.sentence
-        ]
-        if preceding:
-            nearest = max(preceding, key=lambda m_i: mentions[m_i].end)
-            assign(mentions[nearest].item_id, cl.ordinal)
-            continue
-        following = [
-            m_i
-            for m_i, m in enumerate(mentions)
-            if m.start >= last and clauses[mention_clause[m_i]].sentence == cl.sentence
-        ]
-        if following:
-            nearest = min(following, key=lambda m_i: mentions[m_i].start)
-            assign(mentions[nearest].item_id, cl.ordinal)
-
-    # emit one fragment per item, in first-mention order
-    order = []
-    first_clause = {}
-    for m_i, m in enumerate(mentions):
-        if m.item_id not in first_clause:
-            first_clause[m.item_id] = mention_clause[m_i]
-            order.append(m.item_id)
-
-    fragments = []
-    for item_id in order:
-        clause_ordinals = sorted(assigned.get(item_id, []))
-        toks = []
-        for ordinal in clause_ordinals:
-            toks.extend(tokens[i] for i in clauses[ordinal].indices)
-        if toks:
-            fragments.append(
-                ItemFragment(review_id, item_id, tuple(toks), first_clause[item_id])
-            )
-    return fragments
-
-
-def scope_fragments_with_arcs(tokens, mentions, arcs, review_id="") -> list[ItemFragment]:
-    """Scope tokens to mentions by undirected path distance over parse arcs.
-
-    Arcs are (head_index, dependent_index, relation) triples forming a forest
-    over token indices. Each non-mention token goes to the mention whose head
-    token (the last token of its span) is closest; ties go to the earlier
-    mention. Components without a mention are dropped.
-    """
-    n = len(tokens)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    adj = [[] for _ in range(n)]
-    for head, dep, _label in arcs:
-        if not (0 <= head < n and 0 <= dep < n):
-            raise MalformedArcs(f"arc ({head}, {dep}) out of bounds for {n} tokens")
-        if head == dep:
-            raise MalformedArcs(f"self-arc at token {head}")
-        ra, rb = find(head), find(dep)
-        if ra == rb:
-            raise MalformedArcs(f"arcs contain a cycle through ({head}, {dep})")
-        parent[ra] = rb
-        adj[head].append(dep)
-        adj[dep].append(head)
-
-    if not mentions:
-        return []
-    mentions = sorted(mentions, key=lambda m: m.start)
-
-    # BFS distance from every mention head
-    dist = [[-1] * n for _ in mentions]
-    for m_i, m in enumerate(mentions):
-        head = m.end - 1
-        d = dist[m_i]
-        d[head] = 0
-        queue = deque([head])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if d[v] < 0:
-                    d[v] = d[u] + 1
-                    queue.append(v)
-
-    owner = [-1] * n
-    for m_i, m in enumerate(mentions):
-        for idx in range(m.start, m.end):
-            if owner[idx] < 0:
-                owner[idx] = m_i
-    for idx in range(n):
-        if owner[idx] >= 0:
-            continue
-        best_m, best_d = -1, None
-        for m_i in range(len(mentions)):
-            d = dist[m_i][idx]
-            if d >= 0 and (best_d is None or d < best_d):
-                best_m, best_d = m_i, d
-        if best_m >= 0:
-            owner[idx] = best_m
-
-    token_sets: dict[int, list[int]] = {}
-    order = []
-    for m in mentions:
-        if m.item_id not in token_sets:
-            token_sets[m.item_id] = []
-            order.append(m.item_id)
-    for idx in range(n):
-        if owner[idx] >= 0:
-            item_id = mentions[owner[idx]].item_id
-            token_sets[item_id].append(idx)
-
-    fragments = []
-    for item_id in order:
-        indices = token_sets[item_id]
-        if indices:
-            fragments.append(
-                ItemFragment(review_id, item_id, tuple(tokens[i] for i in indices), 0)
-            )
-    return fragments
+        hit = index.get(tok)
+        if hit is None:
+            clause.append(tok)
+        elif hit is _COORD:
+            if clause:
+                close()
+        elif hit is _BREAK:
+            if clause:
+                close()
+            pending = []
+            last = None
+        else:
+            for length, alias, item in hit:
+                if length == 1 or tuple(tokens[i:i + length]) == alias:
+                    clause.extend(alias)
+                    skip = length - 1
+                    last = item
+                    if item not in here:
+                        here.append(item)
+                    break
+            else:
+                clause.append(tok)
+    if clause:
+        close()
+    return [ItemFragment(review_id, item, tuple(kept[item]), first)
+            for item, first in first_clause.items()]

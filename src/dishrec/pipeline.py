@@ -11,7 +11,7 @@ from .cf import Recommender, ScoredFragment, build_rating_matrix, check_n_neighb
 from .corpus import NEGATIVE, POSITIVE, UNLABELED, Vocabulary, build_vocabulary, normalize
 from .errors import InvalidConfig, SingleClassCorpus
 from .fm import build_fm_dataset, fm_train
-from .fragmenter import find_mentions, scope_fragments
+from .fragmenter import build_alias_index, fragment_review
 from .sentiment import bow_matrix, classify_fragment, dt_train, lr_train, nb_train
 from .sides import build_comention_graph, louvain
 from .synth import CorpusData
@@ -25,11 +25,10 @@ def normalize_reviews(reviews, lexicons) -> dict[str, list[str]]:
 
 
 def make_fragments(reviews, token_map, items):
+    index = build_alias_index(items)
     fragments = []
     for r in reviews:
-        tokens = token_map[r.review_id]
-        mentions = find_mentions(tokens, items)
-        fragments.extend(scope_fragments(tokens, mentions, review_id=r.review_id))
+        fragments.extend(fragment_review(token_map[r.review_id], index, r.review_id))
     return fragments
 
 

@@ -12,6 +12,7 @@ pipeline stage therefore has ground truth: per-fragment labels and per
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .corpus import (
     save_restaurants,
     save_reviews,
 )
-from .errors import InputError, InvalidConfig
+from .errors import InputError, InvalidConfig, MalformedRecord
 from .fragmenter import LexiconItem, load_item_lexicon, save_item_lexicon
 
 _ITEM_POOL = [
@@ -241,6 +242,16 @@ def write_corpus_dir(corpus: CorpusData, outdir):
     )
 
 
+def _bad_gold_line(path, lineno, fields, n_fields) -> MalformedRecord:
+    """The error for a gold line with the wrong field count or a non-integer
+    item id (the second-last field)."""
+    if len(fields) != n_fields:
+        reason = f"expected {n_fields} tab-separated fields, got {len(fields)}"
+    else:
+        reason = f"item id {fields[-2]!r} is not an integer"
+    return MalformedRecord(lineno, f"gold/{path.name}: {reason}")
+
+
 def load_corpus_dir(directory) -> CorpusData:
     directory = Path(directory)
     if not (directory / "reviews.jsonl").exists():
@@ -264,19 +275,41 @@ def load_corpus_dir(directory) -> CorpusData:
     fragment_labels = {}
     labels_path = directory / "gold" / "fragment_labels.tsv"
     if labels_path.exists():
-        for line in labels_path.read_text(encoding="utf-8").splitlines():
+        lines = labels_path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip() or line.startswith("#"):
                 continue
-            review_id, item_id, label = line.split("\t")
-            fragment_labels[(review_id, int(item_id))] = label
+            fields = line.split("\t")
+            try:
+                review_id, item_id, label = fields
+                key = (review_id, int(item_id))
+            except ValueError:
+                raise _bad_gold_line(labels_path, lineno, fields, 3) from None
+            if label not in (POSITIVE, NEGATIVE):
+                raise MalformedRecord(lineno, f"gold/fragment_labels.tsv: label {label!r} "
+                                              f"is not {POSITIVE} or {NEGATIVE}")
+            fragment_labels[key] = label
     gold_ratings = {}
     ratings_path = directory / "gold" / "ratings.tsv"
     if ratings_path.exists():
-        for line in ratings_path.read_text(encoding="utf-8").splitlines():
+        lines = ratings_path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip() or line.startswith("#"):
                 continue
-            uid, rid, item_id, rating = line.split("\t")
-            gold_ratings[(uid, rid, int(item_id))] = float(rating)
+            fields = line.split("\t")
+            try:
+                uid, rid, item_id, rating = fields
+                key = (uid, rid, int(item_id))
+            except ValueError:
+                raise _bad_gold_line(ratings_path, lineno, fields, 4) from None
+            try:
+                value = float(rating)
+            except ValueError:
+                value = math.nan
+            if not 1.0 <= value <= 5.0:  # also rejects NaN and infinities
+                raise MalformedRecord(lineno, f"gold/ratings.tsv: rating {rating!r} "
+                                              f"is not a number in [1, 5]")
+            gold_ratings[key] = value
     meta = {}
     meta_path = directory / "meta.json"
     if meta_path.exists():

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from dishrec import evalx, fm, pipeline
+from dishrec.corpus import CLAUSE_MARKERS, SENT_BREAK
 from dishrec.errors import (
     DivergenceDetected,
     EmptyCorpus,
@@ -25,6 +26,7 @@ from dishrec.errors import (
     UnknownItem,
     UnknownUser,
 )
+from dishrec.fragmenter import ItemFragment
 
 
 def user_neighborhood_reference(ratings, user_means, sims, k, m, n_neighbors=None, center="user",
@@ -882,3 +884,165 @@ def lda_train_reference(documents, n_topics: int = 10, alpha: float | None = Non
     for _ in range(iterations):
         model.sweep()
     return model
+
+
+# ---------------------------------------------------------------------------
+# Review fragmenter as it was before the one-pass scan in dishrec.fragmenter:
+# find_mentions rebuilds the alias index for every review, then
+# scope_fragments splits clauses and attaches them.
+
+@dataclass(frozen=True)
+class Mention:
+    item_id: int
+    start: int
+    end: int  # half-open span into the review token list
+
+
+def find_mentions(tokens, items) -> list[Mention]:
+    """Greedy longest-match-first, left-to-right scan for item aliases.
+
+    Multi-token aliases win over shorter ones starting at the same position,
+    and a matched token is consumed (each token belongs to at most one
+    mention).
+    """
+    by_first = {}
+    for it in items:
+        for alias in it.aliases:
+            by_first.setdefault(alias[0], []).append((alias, it.item_id))
+    for cands in by_first.values():
+        cands.sort(key=lambda c: (-len(c[0]), c[0]))
+
+    mentions = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        matched = False
+        for alias, item_id in by_first.get(tokens[i], ()):
+            end = i + len(alias)
+            if end <= n and tuple(tokens[i:end]) == alias:
+                mentions.append(Mention(item_id, i, end))
+                i = end
+                matched = True
+                break
+        if not matched:
+            i += 1
+    return mentions
+
+
+@dataclass(frozen=True)
+class _Clause:
+    ordinal: int
+    sentence: int
+    indices: tuple[int, ...]  # token indices, markers excluded
+
+
+def _split_clauses(tokens) -> list[_Clause]:
+    clauses = []
+    current = []
+    sentence = 0
+
+    def close():
+        if current:
+            clauses.append(_Clause(len(clauses), sentence, tuple(current)))
+            current.clear()
+
+    for idx, tok in enumerate(tokens):
+        if tok == SENT_BREAK:
+            close()
+            sentence += 1
+        elif tok in CLAUSE_MARKERS:
+            close()
+        else:
+            current.append(idx)
+    close()
+    return clauses
+
+
+def scope_fragments(tokens, mentions, review_id="") -> list[ItemFragment]:
+    """Assign clause tokens to the items mentioned in each clause.
+
+    The review is segmented into clauses at clause markers. Every clause's
+    tokens go to all items mentioned inside it (shared modifiers are
+    duplicated). A clause with no mention attaches to the nearest preceding
+    mention in the same sentence, else the nearest following one, else it is
+    dropped. One fragment per item, clauses concatenated in order.
+    """
+    if not mentions:
+        return []
+    clauses = _split_clauses(tokens)
+    clause_of_token = {}
+    for cl in clauses:
+        for idx in cl.indices:
+            clause_of_token[idx] = cl.ordinal
+
+    mentions = sorted(mentions, key=lambda m: m.start)
+    mention_clause = [clause_of_token[m.start] for m in mentions]
+    clause_mentions = {}
+    for m_i, cl_i in enumerate(mention_clause):
+        clause_mentions.setdefault(cl_i, []).append(m_i)
+
+    # item -> ordered clause ordinals (deduplicated)
+    assigned: dict[int, list[int]] = {}
+
+    def assign(item_id, clause_ordinal):
+        lst = assigned.setdefault(item_id, [])
+        if clause_ordinal not in lst:
+            lst.append(clause_ordinal)
+
+    for cl in clauses:
+        here = clause_mentions.get(cl.ordinal)
+        if here:
+            for m_i in here:
+                assign(mentions[m_i].item_id, cl.ordinal)
+            continue
+        if not cl.indices:
+            continue
+        first, last = cl.indices[0], cl.indices[-1]
+        preceding = [
+            m_i
+            for m_i, m in enumerate(mentions)
+            if m.end <= first and clauses[mention_clause[m_i]].sentence == cl.sentence
+        ]
+        if preceding:
+            nearest = max(preceding, key=lambda m_i: mentions[m_i].end)
+            assign(mentions[nearest].item_id, cl.ordinal)
+            continue
+        following = [
+            m_i
+            for m_i, m in enumerate(mentions)
+            if m.start >= last and clauses[mention_clause[m_i]].sentence == cl.sentence
+        ]
+        if following:
+            nearest = min(following, key=lambda m_i: mentions[m_i].start)
+            assign(mentions[nearest].item_id, cl.ordinal)
+
+    # emit one fragment per item, in first-mention order
+    order = []
+    first_clause = {}
+    for m_i, m in enumerate(mentions):
+        if m.item_id not in first_clause:
+            first_clause[m.item_id] = mention_clause[m_i]
+            order.append(m.item_id)
+
+    fragments = []
+    for item_id in order:
+        clause_ordinals = sorted(assigned.get(item_id, []))
+        toks = []
+        for ordinal in clause_ordinals:
+            toks.extend(tokens[i] for i in clauses[ordinal].indices)
+        if toks:
+            fragments.append(
+                ItemFragment(review_id, item_id, tuple(toks), first_clause[item_id])
+            )
+    return fragments
+
+
+def make_fragments_reference(reviews, token_map, items):
+    """The per-review find_mentions + scope_fragments pair that
+    `pipeline.make_fragments` must equal."""
+    fragments = []
+    for r in reviews:
+        tokens = token_map[r.review_id]
+        mentions = find_mentions(tokens, items)
+        fragments.extend(scope_fragments(tokens, mentions, review_id=r.review_id))
+    return fragments

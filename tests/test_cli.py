@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 import warnings
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from dishrec import pipeline
 from dishrec.cli import SETTINGS, load_config, main
-from dishrec.errors import InputError
+from dishrec.errors import InputError, MalformedRecord
 from dishrec.synth import load_corpus_dir, synth_corpus, write_corpus_dir
 
 from oracles import lda_train_reference
@@ -659,3 +661,77 @@ def test_sides_golden_output(method, tmp_path, capsys):
                                      "--out", str(out)])
     assert (code, stdout, err) == (0, GOLDEN_SIDES[method][0], "")
     assert out.read_text(encoding="utf-8") == GOLDEN_SIDES[method][1]
+
+
+class TestCorpusChecks:
+    def test_clause_marker_alias_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "synth"
+        assert main(["synth", "--seed", "1", "--users", "30", "--restaurants", "8",
+                     "--items", "10", "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        items = corpus / "items.tsv"
+        lines = items.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("0\t")
+        lines[0] += "|but"
+        items.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["train-sentiment", "--model", "nb", "--corpus", str(corpus),
+                                      "--labels", "manual", "--out", str(tmp_path / "m.json")])
+        assert (code, out) == (2, "")
+        assert "line 1" in err and "clause marker 'but'" in err
+
+    # (gold file, line 2 rewritten as, words the error must contain)
+    BAD_GOLD = {
+        "label": ("fragment_labels.tsv", "rev00001\t1\tmaybe", "label 'maybe'"),
+        "label-unlabeled": ("fragment_labels.tsv", "rev00001\t1\tunlabeled", "label 'unlabeled'"),
+        "label-short": ("fragment_labels.tsv", "rev00001\t1", "expected 3"),
+        "label-item": ("fragment_labels.tsv", "rev00001\tpizza\tpositive", "item id 'pizza'"),
+        "rating-nan": ("ratings.tsv", "u000\tr001\t0\tnan", "rating 'nan'"),
+        "rating-inf": ("ratings.tsv", "u000\tr001\t0\tinf", "rating 'inf'"),
+        "rating-low": ("ratings.tsv", "u000\tr001\t0\t0.5", "rating '0.5'"),
+        "rating-text": ("ratings.tsv", "u000\tr001\t0\tgood", "rating 'good'"),
+        "rating-long": ("ratings.tsv", "u000\tr001\t0\t4.0\t1", "expected 4"),
+        "rating-item": ("ratings.tsv", "u000\tr001\t1.5\t4.0", "item id '1.5'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_GOLD))
+    def test_bad_gold_line_exits_2_naming_file_and_line(self, corpus_dir, tmp_path, capsys,
+                                                        case):
+        name, line, words = self.BAD_GOLD[case]
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        path = corpus / "gold" / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as exc:
+            load_corpus_dir(corpus)
+        assert exc.value.line_number == 2
+        for argv in (TRAIN_NB, EVALUATE):
+            argv = [a.format(corpus=corpus, tmp=tmp_path) for a in argv]
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert f"line 2: gold/{name}: " in err and words in err
+
+
+# `train-sentiment --model nb --labels manual` on `synth --seed 3 --users 20
+# --restaurants 5 --items 6`, recorded from the per-review find_mentions +
+# scope_fragments fragmenter (kept as tests/oracles.py
+# `make_fragments_reference`): the stdout line and the model file's sha256.
+GOLDEN_TRAIN_NB = (
+    "model=nb labels=manual train=116 test=29 f_score=1.0000 seed=0\n",
+    2233,
+    "a7cca18f140d3faf36b341f23eeba60f014679b81b7a326522aee5f893ddc76f",
+)
+
+
+def test_train_nb_golden_output(tmp_path, capsys):
+    corpus = tmp_path / "synth"
+    assert main(["synth", "--seed", "3", "--users", "20", "--restaurants", "5",
+                 "--items", "6", "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "nb.json"
+    code, stdout, err = run(capsys, ["train-sentiment", "--model", "nb", "--corpus", str(corpus),
+                                     "--labels", "manual", "--out", str(out)])
+    data = out.read_bytes()
+    assert (code, stdout, err) == (0, GOLDEN_TRAIN_NB[0], "")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_TRAIN_NB[1:]

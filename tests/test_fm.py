@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -122,6 +124,20 @@ class TestModelViews:
     def test_shape_mismatch_rejected(self, V):
         with pytest.raises(InvalidConfig):
             FMModel(0.0, np.zeros(2), V, 0.0, 0.0, kdim=2)
+
+    def test_in_place_writes_raise(self):
+        w, V = np.array([0.5, -1.0]), np.array([[1.0, 2.0], [3.0, -1.0]])
+        model = FMModel(0.25, w, V, 0.0, 0.0, kdim=2)
+        before = fm_predict([(0, 1.0), (1, 2.0)], model)
+        with pytest.raises(ValueError):
+            model.w[0] = 9.0
+        with pytest.raises(ValueError):
+            model.V[1] += 1.0
+        # the model holds copies: the caller's arrays stay writeable and
+        # changing them does not reach the model
+        w[0], V[1, 1] = 9.0, 7.0
+        assert fm_predict([(0, 1.0), (1, 2.0)], model) == before
+        assert (model.w.tolist(), model.V.tolist()) == ([0.5, -1.0], [[1.0, 2.0], [3.0, -1.0]])
 
     def test_predictions_and_gradients_equal_reference(self):
         rng = np.random.default_rng(47)
@@ -444,8 +460,10 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(41)
         for case in range(30):
             n, kdim = int(rng.integers(2, 7)), int(rng.integers(1, 4))
-            want = random_model(rng, n, kdim, scale=0.7)
-            want.lambda_w, want.lambda_v = 0.3, 0.2
+            model = random_model(rng, n, kdim, scale=0.7)
+            # the reference steps its model in place, so it gets writeable copies
+            want = SimpleNamespace(w0=model.w0, w=model.w.copy(), V=model.V.copy(),
+                                   lambda_w=0.3, lambda_v=0.2, kdim=kdim)
             w, V = want.w.tolist(), want.V.tolist()
             x = random_instance(rng, n)
             if case % 5 == 0:

@@ -1,44 +1,58 @@
-import pytest
+from collections import Counter
+from types import SimpleNamespace
 
-from dishrec.errors import InputError, MalformedArcs, MalformedRecord
-from dishrec.fragmenter import (
-    Mention,
-    find_mentions,
-    load_arcs,
-    load_item_lexicon,
-    scope_fragments,
-    scope_fragments_with_arcs,
-)
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dishrec.errors import InputError, MalformedRecord
+from dishrec.fragmenter import LexiconItem, build_alias_index, fragment_review, load_item_lexicon
+from dishrec.pipeline import make_fragments
+
+from oracles import make_fragments_reference
+
+
+def fragments(tokens, items):
+    return fragment_review(tokens, build_alias_index(items), review_id="r")
+
+
+def spans(tokens, items):
+    """(item_id, clause_index, tokens) of each fragment, in output order."""
+    return [(f.item_id, f.clause_index, list(f.tokens)) for f in fragments(tokens, items)]
 
 
 class TestFindMentions:
     def test_longest_match_wins(self, food_items):
-        mentions = find_mentions(["garlic", "bread", "good"], food_items)
-        assert mentions == [Mention(7, 0, 2)]
+        assert spans(["garlic", "bread", "good"], food_items) == [
+            (7, 0, ["garlic", "bread", "good"])
+        ]
 
     def test_disjoint_matches(self, food_items):
-        mentions = find_mentions(["pasta", "and", "pizza"], food_items)
-        assert [(m.item_id, m.start) for m in mentions] == [(1, 0), (2, 2)]
+        frags = fragments(["pasta", "and", "pizza"], food_items)
+        assert [(f.item_id, f.clause_index) for f in frags] == [(1, 0), (2, 0)]
 
     def test_no_match(self, food_items):
-        assert find_mentions(["great", "service"], food_items) == []
+        assert fragments(["great", "service"], food_items) == []
 
     def test_consumed_tokens_not_rematched(self, food_items):
         # "bread" inside "garlic bread" must not also match item 3
-        mentions = find_mentions(["garlic", "bread", "bread"], food_items)
-        assert [(m.item_id, m.start, m.end) for m in mentions] == [(7, 0, 2), (3, 2, 3)]
+        tokens = ["garlic", "bread", "bread", "but", "bread", "garlic"]
+        assert spans(tokens, food_items) == [
+            (7, 0, ["garlic", "bread", "bread"]),
+            (3, 0, ["garlic", "bread", "bread", "bread", "garlic"]),
+        ]
 
 
 class TestScopeFragments:
     def test_one_mention_per_clause(self, food_items):
         tokens = ["pasta", "great", "but", "pizza", "soggy"]
-        frags = scope_fragments(tokens, find_mentions(tokens, food_items), review_id="r")
+        frags = fragments(tokens, food_items)
         by_item = {f.item_id: list(f.tokens) for f in frags}
         assert by_item == {1: ["pasta", "great"], 2: ["pizza", "soggy"]}
 
     def test_trailing_clauses_attach_to_preceding_mention(self, food_items):
         tokens = ["pasta", "cooked", "but", "very", "salty", "while", "cheap"]
-        frags = scope_fragments(tokens, find_mentions(tokens, food_items), review_id="r")
+        frags = fragments(tokens, food_items)
         assert len(frags) == 1
         assert list(frags[0].tokens) == ["pasta", "cooked", "very", "salty", "cheap"]
 
@@ -46,7 +60,7 @@ class TestScopeFragments:
         # hand enumeration: single clause, two mentions -> every clause token
         # is assigned to both items
         tokens = ["pasta", "pizza", "cold"]
-        frags = scope_fragments(tokens, find_mentions(tokens, food_items), review_id="r")
+        frags = fragments(tokens, food_items)
         assert len(frags) == 2
         for f in frags:
             assert list(f.tokens) == ["pasta", "pizza", "cold"]
@@ -54,25 +68,23 @@ class TestScopeFragments:
 
     def test_leading_clause_attaches_to_following_mention(self, food_items):
         tokens = ["really", "liked", "but", "pizza", "cold"]
-        frags = scope_fragments(tokens, find_mentions(tokens, food_items), review_id="r")
+        frags = fragments(tokens, food_items)
         assert len(frags) == 1
         assert list(frags[0].tokens) == ["really", "liked", "pizza", "cold"]
 
     def test_attachment_stops_at_sentence_boundary(self, food_items):
         tokens = ["pasta", "fine", "<s>", "service", "slow"]
-        frags = scope_fragments(tokens, find_mentions(tokens, food_items), review_id="r")
+        frags = fragments(tokens, food_items)
         assert len(frags) == 1
         assert list(frags[0].tokens) == ["pasta", "fine"]  # second sentence dropped
 
     def test_no_mentions_yields_nothing(self, food_items):
-        assert scope_fragments(["nice", "place"], [], review_id="r") == []
+        assert fragments(["nice", "place", "<s>", "but"], food_items) == []
 
     def test_duplication_bound(self, food_items):
         # each token appears across fragments at most max(1, mentions in its clause) times
         tokens = ["pasta", "pizza", "bread", "tasty", "but", "pricey"]
-        mentions = find_mentions(tokens, food_items)
-        frags = scope_fragments(tokens, mentions, review_id="r")
-        from collections import Counter
+        frags = fragments(tokens, food_items)
         counts = Counter()
         for f in frags:
             counts.update(f.tokens)
@@ -81,61 +93,16 @@ class TestScopeFragments:
 
     def test_deterministic(self, food_items):
         tokens = ["pasta", "nice", "but", "pizza", "bad", "<s>", "bread", "ok"]
-        mentions = find_mentions(tokens, food_items)
-        a = scope_fragments(tokens, mentions, review_id="r")
-        b = scope_fragments(tokens, mentions, review_id="r")
+        index = build_alias_index(food_items)
+        a = fragment_review(tokens, index, review_id="r")
+        b = fragment_review(tokens, index, review_id="r")
         assert a == b
 
     def test_single_item_review_gets_all_kept_tokens(self, food_items):
         tokens = ["pasta", "good", "but", "small", "while", "pricey"]
-        mentions = find_mentions(tokens, food_items)
-        frags = scope_fragments(tokens, mentions, review_id="r")
+        frags = fragments(tokens, food_items)
         assert len(frags) == 1
         assert sorted(frags[0].tokens) == sorted(t for t in tokens if t not in ("but", "while"))
-
-
-class TestScopeWithArcs:
-    def test_star_graph_single_mention(self, food_items):
-        tokens = ["pasta", "was", "really", "good"]
-        mentions = [Mention(1, 0, 1)]
-        arcs = [(0, 1, "dep"), (0, 2, "dep"), (0, 3, "dep")]
-        frags = scope_fragments_with_arcs(tokens, mentions, arcs, review_id="r")
-        assert len(frags) == 1
-        assert list(frags[0].tokens) == tokens
-
-    def test_disconnected_components_partition(self, food_items):
-        tokens = ["pasta", "good", "pizza", "bad"]
-        mentions = [Mention(1, 0, 1), Mention(2, 2, 3)]
-        arcs = [(0, 1, "dep"), (2, 3, "dep")]
-        frags = scope_fragments_with_arcs(tokens, mentions, arcs, review_id="r")
-        by_item = {f.item_id: list(f.tokens) for f in frags}
-        assert by_item == {1: ["pasta", "good"], 2: ["pizza", "bad"]}
-
-    def test_equidistant_tie_goes_to_earlier_mention(self, food_items):
-        tokens = ["pasta", "and", "pizza"]
-        mentions = [Mention(1, 0, 1), Mention(2, 2, 3)]
-        arcs = [(0, 1, "cc"), (1, 2, "conj")]  # path a-b-c
-        frags = scope_fragments_with_arcs(tokens, mentions, arcs, review_id="r")
-        by_item = {f.item_id: list(f.tokens) for f in frags}
-        assert by_item[1] == ["pasta", "and"]
-        assert by_item[2] == ["pizza"]
-
-    def test_mentionless_component_dropped(self, food_items):
-        tokens = ["pasta", "good", "service", "slow"]
-        mentions = [Mention(1, 0, 1)]
-        arcs = [(0, 1, "dep"), (2, 3, "dep")]
-        frags = scope_fragments_with_arcs(tokens, mentions, arcs, review_id="r")
-        assert len(frags) == 1
-        assert list(frags[0].tokens) == ["pasta", "good"]
-
-    def test_out_of_bounds_arc(self):
-        with pytest.raises(MalformedArcs):
-            scope_fragments_with_arcs(["a", "b"], [Mention(1, 0, 1)], [(0, 5, "dep")])
-
-    def test_cycle_detected(self):
-        arcs = [(0, 1, "d"), (1, 2, "d"), (2, 0, "d")]
-        with pytest.raises(MalformedArcs):
-            scope_fragments_with_arcs(["a", "b", "c"], [Mention(1, 0, 1)], arcs)
 
 
 class TestItemLexiconFile:
@@ -161,29 +128,79 @@ class TestItemLexiconFile:
         items = load_item_lexicon(path)
         assert ("momos",) in items[0].aliases
 
+    @pytest.mark.parametrize("alias", ["but", "pasta while hot", "and-then"])
+    def test_clause_marker_alias_rejected_with_line(self, tmp_path, alias):
+        path = tmp_path / "items.tsv"
+        path.write_text(f"1\tpasta\tpasta\n2\tpizza\tpizza|{alias}\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as exc:
+            load_item_lexicon(path)
+        assert exc.value.line_number == 2
 
-class TestArcsFile:
-    def test_load_keyed_by_review(self, tmp_path):
-        path = tmp_path / "arcs.tsv"
-        path.write_text(
-            "# review\thead\tdep\trel\nv1\t0\t1\tdet\nv1\t0\t2\tamod\nv2\t1\t0\tnsubj\n",
-            encoding="utf-8",
-        )
-        arcs = load_arcs(path)
-        assert arcs["v1"] == [(0, 1, "det"), (0, 2, "amod")]
-        assert arcs["v2"] == [(1, 0, "nsubj")]
 
-    def test_bad_line_reports_number(self, tmp_path):
-        path = tmp_path / "arcs.tsv"
-        path.write_text("v1\t0\tx\tdet\n", encoding="utf-8")
-        with pytest.raises(MalformedRecord):
-            load_arcs(path)
+class TestAliasIndex:
+    @pytest.mark.parametrize("alias", [("but",), ("pasta", "<s>"), ("however", "good")])
+    def test_clause_marker_alias_rejected(self, alias):
+        with pytest.raises(InputError, match="clause marker"):
+            build_alias_index([LexiconItem(1, "pasta", (("pasta",), alias))])
 
-    def test_loaded_arcs_feed_scoping(self, tmp_path, food_items):
-        path = tmp_path / "arcs.tsv"
-        path.write_text("v1\t0\t1\tcop\nv1\t0\t2\tamod\n", encoding="utf-8")
-        arcs = load_arcs(path)["v1"]
-        frags = scope_fragments_with_arcs(
-            ["pasta", "was", "great"], [Mention(1, 0, 1)], arcs, review_id="v1"
-        )
-        assert list(frags[0].tokens) == ["pasta", "was", "great"]
+    def test_empty_alias_rejected(self):
+        with pytest.raises(InputError, match="empty alias"):
+            build_alias_index([LexiconItem(1, "pasta", ((),))])
+
+    def test_shared_alias_goes_to_the_first_item(self):
+        items = [LexiconItem(4, "a", (("chai",),)), LexiconItem(2, "b", (("chai",),))]
+        assert spans(["chai", "hot"], items) == [(4, 0, ["chai", "hot"])]
+
+    def test_tuple_tokens(self, food_items):
+        assert fragments(("garlic", "bread", "ok"), food_items) == \
+            fragments(["garlic", "bread", "ok"], food_items)
+
+
+# Alias tokens share first tokens ("a b" / "a b c" / "a"), so longest-first
+# matching and token consumption are exercised; markers and filler split and
+# pad clauses. Items may repeat an alias, in which case the first item owns it.
+_WORDS = ["a", "b", "c"]
+_MARKERS = ["<s>", "but", "while", "and-then"]
+_alias = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(tuple)
+_lexicon = st.lists(st.lists(_alias, min_size=1, max_size=3), min_size=1, max_size=4).map(
+    lambda alias_sets: [LexiconItem(10 + k, f"item{k}", tuple(aliases))
+                        for k, aliases in enumerate(alias_sets)])
+_review = st.lists(st.sampled_from(_WORDS + _MARKERS + ["x", "y"]), min_size=4, max_size=20)
+
+_FOOD = [
+    LexiconItem(1, "pasta", (("pasta",),)),
+    LexiconItem(2, "pizza", (("pizza",),)),
+    LexiconItem(3, "bread", (("bread",),)),
+    LexiconItem(7, "garlic bread", (("garlic", "bread"), ("garlic", "bread", "roll"))),
+]
+
+
+def _equal_to_reference(reviews, items):
+    token_map = {f"r{k}": tokens for k, tokens in enumerate(reviews)}
+    records = [SimpleNamespace(review_id=rid) for rid in token_map]
+    got = make_fragments(records, token_map, items)
+    assert got == make_fragments_reference(records, token_map, items)
+    return got
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("tokens", [
+        [],                                                            # empty review
+        ["service", "slow", "but", "cheap", "<s>", "nice"],            # no mention
+        ["<s>", "but", "<s>", "while", "and-then"],                    # markers only
+        ["garlic", "bread", "roll", "garlic", "bread", "bread"],       # shared first token
+        ["garlic", "bread", "bread", "but", "bread", "roll"],          # consumed tokens
+        ["pasta", "ok", "but", "pizza", "cold", "but", "pasta", "dry"],  # repeated item
+        ["pasta", "pizza", "pasta", "hot", "while", "cheap"],          # repeat inside a clause
+        ["meh", "but", "sadly", "<s>", "nice", "but", "pizza", "and-then", "bread", "<s>", "ok"],
+        ["meh", "while", "pizza", "pasta", "hot", "but", "bread"],     # leading clause, two items
+    ])
+    def test_named_cases(self, tokens):
+        _equal_to_reference([tokens], _FOOD)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_lexicon, st.lists(_review, max_size=4))
+    @example([LexiconItem(10, "x", (("a", "b"), ("a",))), LexiconItem(11, "y", (("a", "b", "c"),))],
+             [["a", "b", "c", "a", "b", "b", "but", "a"], []])
+    def test_equals_reference(self, items, reviews):
+        _equal_to_reference(reviews, items)
