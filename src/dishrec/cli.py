@@ -226,12 +226,11 @@ def cmd_train_sentiment(args, config):
     train_frags, test_frags = evalx.train_test_split(
         labeled, 0.8, seed, _resolve(args, config, "split_round")
     )
-    hyper = {}
-    if args.epochs is not None:
-        hyper["epochs"] = args.epochs
-    if args.lr is not None:
-        hyper["lr"] = args.lr
-    model, vocab = pipeline.train_sentiment(args.model, train_frags, labels, seed=seed, **hyper)
+    ignored = [f"--{flag}" for flag in ("epochs", "lr") if getattr(args, flag) is not None]
+    if ignored and args.model not in pipeline.STEPPED_KINDS:
+        print(f"warning: --model {args.model} ignores {' and '.join(ignored)}", file=sys.stderr)
+    model, vocab = pipeline.train_sentiment(args.model, train_frags, labels, seed=seed,
+                                            epochs=args.epochs, lr=args.lr)
     from .sentiment import classify_fragment
 
     preds = []

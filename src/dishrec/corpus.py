@@ -329,10 +329,11 @@ def normalize(text: str, lex: LexiconSet) -> list[str]:
     2. lowercasing (POS_EMO/NEG_EMO sentinels keep their case);
     3. punctuation handling: apostrophes deleted, ``.!?;`` runs become the
        sentence-break marker, every other punctuation character becomes a
-       space, then whitespace tokenization and merging of the bigram
-       "and then" into the clause marker "and-then";
-    4. slang expansion, one left-to-right pass (expansions are not re-expanded);
-    5. stopword removal; sentinels and clause markers are never removed.
+       space, then whitespace tokenization;
+    4. one left-to-right pass over the tokens that merges the bigram
+       "and then" into the clause marker "and-then", expands slang
+       (expansions are neither re-expanded nor re-merged) and removes
+       stopwords; sentinels and clause markers are never expanded or removed.
     """
     for emo in lex._emoticons_longest_first:
         if emo in text:
@@ -348,25 +349,25 @@ def normalize(text: str, lex: LexiconSet) -> list[str]:
     text = _OTHER_PUNCT_RE.sub(" ", text)
     text = text.replace("\x00", f" {SENT_BREAK} ")
 
+    stopwords = lex.stopwords
+    slang = lex.slang_map
     raw_tokens = text.split()
+    n = len(raw_tokens)
     tokens = []
     i = 0
-    while i < len(raw_tokens):
-        if raw_tokens[i] == "and" and i + 1 < len(raw_tokens) and raw_tokens[i + 1] == "then":
-            tokens.append("and-then")
-            i += 2
-        else:
-            tokens.append(raw_tokens[i])
+    while i < n:
+        tok = raw_tokens[i]
+        i += 1
+        if tok == "and" and i < n and raw_tokens[i] == "then":
+            tok = "and-then"
             i += 1
-
-    expanded = []
-    for tok in tokens:
-        if tok not in PROTECTED_TOKENS and tok in lex.slang_map:
-            expanded.extend(lex.slang_map[tok])
-        else:
-            expanded.append(tok)
-
-    return [t for t in expanded if t in PROTECTED_TOKENS or t not in lex.stopwords]
+        if tok in PROTECTED_TOKENS:
+            tokens.append(tok)
+        elif tok in slang:
+            tokens.extend(t for t in slang[tok] if t in PROTECTED_TOKENS or t not in stopwords)
+        elif tok not in stopwords:
+            tokens.append(tok)
+    return tokens
 
 
 def build_vocabulary(corpus, min_count: int = 1) -> Vocabulary:

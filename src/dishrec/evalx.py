@@ -175,11 +175,9 @@ def _held_out_truth(corpus: CorpusData, test_reviews, test_fragments, blend_weig
 
 
 def run_benchmark(corpus: CorpusData, methods=BENCHMARK_METHODS, seed: int = 0,
-                  sentiment_kind: str = "nb", train_fraction: float = 0.8,
                   relevance: float = 4.0, top_k: int = 5,
-                  side_weight: float = 0.0, blend_weight: float = 0.5,
-                  fm_lr: float = 0.05, fm_epochs: int = 50) -> list[EvalReport]:
-    """Split -> sentiment -> ratings -> each recommender -> metrics.
+                  side_weight: float = 0.0, blend_weight: float = 0.5) -> list[EvalReport]:
+    """80/20 split -> NB sentiment -> ratings -> each recommender -> metrics.
 
     Held-out pairs are the test reviews' (user, column) mentions whose user
     and column are known to the training matrix, so every method is scored
@@ -188,11 +186,10 @@ def run_benchmark(corpus: CorpusData, methods=BENCHMARK_METHODS, seed: int = 0,
     for m in methods:
         if m not in BENCHMARK_METHODS:
             raise ValueError(f"unknown method {m!r}")
-    train_reviews, test_reviews = train_test_split(corpus.reviews, train_fraction, seed)
+    train_reviews, test_reviews = train_test_split(corpus.reviews, 0.8, seed)
     engine = build_recommender(
-        corpus, seed=seed, sentiment_kind=sentiment_kind,
-        blend_weight=blend_weight, with_fm="fm" in methods,
-        fm_lr=fm_lr, fm_epochs=fm_epochs, reviews=train_reviews,
+        corpus, seed=seed, blend_weight=blend_weight, with_fm="fm" in methods,
+        reviews=train_reviews,
     )
     token_map = normalize_reviews(test_reviews, corpus.lexicons)
     test_fragments = make_fragments(test_reviews, token_map, corpus.items)

@@ -17,6 +17,7 @@ from .sides import build_comention_graph, louvain
 from .synth import CorpusData
 
 SENTIMENT_KINDS = ("nb", "bow-lr", "bow-dt", "lstm")
+STEPPED_KINDS = ("bow-lr", "lstm")  # the kinds train_sentiment passes epochs and lr to
 THRESHOLD_VALUES = (2.0, 2.5, 3.0)
 
 
@@ -59,12 +60,15 @@ def fragment_labels_for(corpus: CorpusData, fragments, mode: str, threshold: flo
     return labels
 
 
-def train_sentiment(kind: str, fragments, labels, seed: int = 0, **hyper):
+def train_sentiment(kind: str, fragments, labels, seed: int = 0,
+                    epochs: int | None = None, lr: float | None = None):
     """Train one classifier kind on the labeled fragments.
 
     Returns (model, vocab); vocab is the vocabulary fitted once on the
     labeled training fragments (an NB model's own, else the binary-BoW /
-    embedding one).
+    embedding one). ``epochs`` and ``lr``, when given, go to the bow-lr and
+    lstm trainers; nb and bow-dt take neither. Every other setting is the
+    trainer's own default.
     """
     pairs = [
         (f, labels[(f.review_id, f.item_id)])
@@ -76,17 +80,14 @@ def train_sentiment(kind: str, fragments, labels, seed: int = 0, **hyper):
     token_lists = [list(f.tokens) for f, _ in pairs]
     y = [lab for _, lab in pairs]
     if kind == "nb":
-        model = nb_train(token_lists, y, alpha=hyper.get("alpha", 1.0))
+        model = nb_train(token_lists, y)
         return model, model.vocab
     vocab = build_vocabulary(token_lists, min_count=1)
-    if kind == "bow-lr":
-        X = bow_matrix(token_lists, vocab)
-        return lr_train(X, y, l2=hyper.get("l2", 1e-3), lr=hyper.get("lr", 0.1),
-                        epochs=hyper.get("epochs", 500)), vocab
     if kind == "bow-dt":
-        X = bow_matrix(token_lists, vocab)
-        return dt_train(X, y, max_depth=hyper.get("max_depth", 10),
-                        min_samples_leaf=hyper.get("min_samples_leaf", 2)), vocab
+        return dt_train(bow_matrix(token_lists, vocab), y), vocab
+    steps = {k: v for k, v in {"epochs": epochs, "lr": lr}.items() if v is not None}
+    if kind == "bow-lr":
+        return lr_train(bow_matrix(token_lists, vocab), y, **steps), vocab
     if kind == "lstm":
         data = []
         for toks, lab in zip(token_lists, y):
@@ -95,15 +96,8 @@ def train_sentiment(kind: str, fragments, labels, seed: int = 0, **hyper):
                 data.append((indices, 1.0 if lab == POSITIVE else -1.0))
         if not data:
             raise SingleClassCorpus("no encodable fragments")
-        params = lstm_mod.init_params(
-            len(vocab), d_embed=hyper.get("d_embed", 16),
-            d_hidden=hyper.get("d_hidden", 16), seed=seed,
-        )
-        trained, _ = lstm_mod.lstm_train(
-            data, params, lr=hyper.get("lr", 0.05),
-            epochs=hyper.get("epochs", 50), seed=seed,
-            clip_threshold=hyper.get("clip_threshold"),
-        )
+        params = lstm_mod.init_params(len(vocab), seed=seed)
+        trained, _ = lstm_mod.lstm_train(data, params, seed=seed, **steps)
         return trained, vocab
     raise InvalidConfig(f"unknown sentiment model {kind!r}")
 
@@ -127,10 +121,9 @@ def score_fragments(reviews, fragments, model, vocab: Vocabulary):
 
 
 def build_recommender(corpus: CorpusData, seed: int = 0, sentiment_kind: str = "nb",
-                      label_mode: str = "manual", blend_weight: float = 0.5,
-                      n_neighbors: int | None = 20, eq1_center: str = "user",
-                      with_fm: bool = True, fm_lr: float = 0.05, fm_epochs: int = 50,
-                      fm_kdim: int = 8, reviews=None) -> Recommender:
+                      blend_weight: float = 0.5, n_neighbors: int | None = 20,
+                      eq1_center: str = "user", with_fm: bool = True,
+                      reviews=None) -> Recommender:
     """Run the full pipeline over a corpus and return a query-ready engine.
 
     ``reviews`` restricts training to a subset (the evaluation harness passes
@@ -140,7 +133,7 @@ def build_recommender(corpus: CorpusData, seed: int = 0, sentiment_kind: str = "
     reviews = corpus.reviews if reviews is None else reviews
     token_map = normalize_reviews(reviews, corpus.lexicons)
     fragments = make_fragments(reviews, token_map, corpus.items)
-    labels = fragment_labels_for(corpus, fragments, label_mode)
+    labels = fragment_labels_for(corpus, fragments, "manual")
     model, vocab = train_sentiment(sentiment_kind, fragments, labels, seed=seed)
     scored = score_fragments(reviews, fragments, model, vocab)
     matrix = build_rating_matrix(scored, blend_weight)
@@ -153,8 +146,8 @@ def build_recommender(corpus: CorpusData, seed: int = 0, sentiment_kind: str = "
     if with_fm:
         data, fm_features = build_fm_dataset(matrix)
         if len(data) >= 2:
-            fm_model = fm_train(data, lr=fm_lr, epochs=fm_epochs, kdim=fm_kdim,
-                                seed=seed, n_features=fm_features.n_features)
+            fm_model = fm_train(data, lr=0.05, epochs=50, seed=seed,
+                                n_features=fm_features.n_features)
         else:
             fm_features = None
 

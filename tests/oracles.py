@@ -14,7 +14,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from dishrec import evalx, fm, pipeline
-from dishrec.corpus import CLAUSE_MARKERS, SENT_BREAK
+from dishrec.corpus import (
+    _OTHER_PUNCT_RE,
+    _SENT_PUNCT_RE,
+    CLAUSE_MARKERS,
+    PROTECTED_TOKENS,
+    SENT_BREAK,
+    _lowercase_keeping_sentinels,
+)
 from dishrec.errors import (
     DivergenceDetected,
     EmptyCorpus,
@@ -1046,3 +1053,57 @@ def make_fragments_reference(reviews, token_map, items):
         mentions = find_mentions(tokens, items)
         fragments.extend(scope_fragments(tokens, mentions, review_id=r.review_id))
     return fragments
+
+
+# ---------------------------------------------------------------------------
+# corpus.normalize as it was before its token passes were folded into one
+# loop: the "and then" merge, slang expansion and the stopword filter each
+# walk the whole token list.
+
+def normalize_reference(text, lex):
+    """Normalize raw review text to a token list.
+
+    Fixed pipeline order:
+
+    1. emoticon replacement on the raw string, longest emoticon first;
+    2. lowercasing (POS_EMO/NEG_EMO sentinels keep their case);
+    3. punctuation handling: apostrophes deleted, ``.!?;`` runs become the
+       sentence-break marker, every other punctuation character becomes a
+       space, then whitespace tokenization and merging of the bigram
+       "and then" into the clause marker "and-then";
+    4. slang expansion, one left-to-right pass (expansions are not re-expanded);
+    5. stopword removal; sentinels and clause markers are never removed.
+    """
+    for emo in lex._emoticons_longest_first:
+        if emo in text:
+            text = text.replace(emo, f" {lex.emoticon_map[emo]} ")
+
+    text = _lowercase_keeping_sentinels(text)
+
+    text = text.replace("'", "").replace("’", "")
+    # markers from a previous normalize() pass must survive re-normalization
+    text = text.replace(SENT_BREAK, "\x00")
+    text = text.replace("<", " ").replace(">", " ")
+    text = _SENT_PUNCT_RE.sub(" \x00 ", text)
+    text = _OTHER_PUNCT_RE.sub(" ", text)
+    text = text.replace("\x00", f" {SENT_BREAK} ")
+
+    raw_tokens = text.split()
+    tokens = []
+    i = 0
+    while i < len(raw_tokens):
+        if raw_tokens[i] == "and" and i + 1 < len(raw_tokens) and raw_tokens[i + 1] == "then":
+            tokens.append("and-then")
+            i += 2
+        else:
+            tokens.append(raw_tokens[i])
+            i += 1
+
+    expanded = []
+    for tok in tokens:
+        if tok not in PROTECTED_TOKENS and tok in lex.slang_map:
+            expanded.extend(lex.slang_map[tok])
+        else:
+            expanded.append(tok)
+
+    return [t for t in expanded if t in PROTECTED_TOKENS or t not in lex.stopwords]

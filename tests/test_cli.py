@@ -112,6 +112,18 @@ class TestTrainSentiment:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("model", ["nb", "bow-dt"])
+    def test_ignored_step_flags_warn(self, corpus_dir, tmp_path, capsys, model):
+        argv = ["train-sentiment", "--model", model, "--corpus", str(corpus_dir),
+                "--labels", "manual"]
+        code, plain, err = run(capsys, argv + ["--out", str(tmp_path / "plain.json")])
+        assert (code, err) == (0, "")
+        code, stepped, err = run(capsys, argv + ["--out", str(tmp_path / "stepped.json"),
+                                                 "--epochs", "7", "--lr", "5"])
+        assert code == 0 and stepped == plain
+        assert err == f"warning: --model {model} ignores --epochs and --lr\n"
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "stepped.json").read_bytes()
+
     def test_invalid_model_name_usage_error(self, corpus_dir, tmp_path, capsys):
         code, _, err = run(capsys, [
             "train-sentiment", "--model", "svm", "--corpus", str(corpus_dir),

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dishrec.corpus import (
@@ -17,6 +17,8 @@ from dishrec.corpus import (
     save_reviews,
 )
 from dishrec.errors import DuplicateId, EmptyVocabulary, InputError, MalformedRecord
+
+from oracles import normalize_reference
 
 
 def _write_reviews(tmp_path, rows):
@@ -133,6 +135,43 @@ class TestNormalize:
         once = normalize(text, lex)
         again = normalize(" ".join(once), lex)
         assert again == once
+
+
+# words that reach normalize's token loop in every role: the "and then"
+# bigram, stopwords, slang keys and expansions, sentinels, clause markers and
+# text that the punctuation and emoticon passes rewrite first
+_NORMALIZE_WORDS = ["and", "then", "And", "THEN", "the", "was", "good", "gr8", "lol",
+                    "but", "however", "while", "and-then", "<s>", "POS_EMO", "NEG_EMO",
+                    "pos_emo", ".", ",", "!?", "it's", ":)", ":))", ":("]
+
+
+@st.composite
+def _lexicon_sets(draw):
+    words = st.sampled_from(_NORMALIZE_WORDS)
+    keys = draw(st.lists(words, unique=True, max_size=5))
+    return LexiconSet(
+        stopwords=draw(st.frozensets(words, max_size=8)),
+        emoticon_map=draw(st.dictionaries(st.sampled_from([":)", ":))", ":("]),
+                                          st.sampled_from(["POS_EMO", "NEG_EMO"]), max_size=3)),
+        slang_map={key: tuple(draw(st.lists(words.filter(lambda w, key=key: w != key),
+                                            max_size=3)))
+                   for key in keys},
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(lex=_lexicon_sets(),
+       words=st.lists(st.sampled_from(_NORMALIZE_WORDS) | st.text(max_size=3), max_size=16),
+       sep=st.sampled_from([" ", "  ", "", "\t"]))
+@example(lex=LexiconSet(slang_map={"lol": ("and",)}), words=["lol", "then"], sep=" ")
+@example(lex=LexiconSet(slang_map={"then": ("x",), "and": ("y",)}), words=["and", "then"],
+         sep=" ")
+@example(lex=LexiconSet(stopwords=frozenset({"the", "but"}),
+                        slang_map={"gr8": ("the", "great", "but", "POS_EMO")}),
+         words=["gr8", "and", "then", "the", "<s>"], sep=" ")
+def test_normalize_equals_reference(lex, words, sep):
+    text = sep.join(words)
+    assert normalize(text, lex) == normalize_reference(text, lex)
 
 
 class TestBuildVocabulary:

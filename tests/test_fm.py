@@ -162,6 +162,10 @@ def fm_engine():
 
 
 class TestQueries:
+    def test_build_recommender_trains_fifty_epochs(self, fm_engine):
+        assert len(fm_engine.fm_model.history["train_mse"]) == 50
+        assert fm_engine.fm_model.kdim == 8
+
     def test_recommend_top_k_equals_reference(self, fm_engine):
         items = sorted({item_id for _, item_id in fm_engine.matrix.columns})
         for user_id in fm_engine.matrix.user_ids:

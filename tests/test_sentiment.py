@@ -297,3 +297,70 @@ def test_train_sentiment_fits_one_vocabulary(monkeypatch, kind):
     model, vocab = pipeline.train_sentiment(kind, fragments, labels, epochs=1)
     assert len(calls) == 1
     assert set(vocab.tokens) == {"good", "food", "bad"}
+
+
+@pytest.fixture(scope="module")
+def labeled_fragments():
+    from dishrec import pipeline
+    from dishrec.synth import synth_corpus
+
+    corpus = synth_corpus(1, 30, 8, 10)
+    token_map = pipeline.normalize_reviews(corpus.reviews, corpus.lexicons)
+    fragments = pipeline.make_fragments(corpus.reviews, token_map, corpus.items)
+    return fragments, pipeline.fragment_labels_for(corpus, fragments, "manual")
+
+
+def _direct_training(kind, fragments, labels, seed, epochs):
+    """Each trainer called directly with its own defaults, as train_sentiment must."""
+    from dishrec import lstm
+
+    pairs = [(f, labels[(f.review_id, f.item_id)]) for f in fragments
+             if (f.review_id, f.item_id) in labels]
+    token_lists = [list(f.tokens) for f, _ in pairs]
+    y = [lab for _, lab in pairs]
+    if kind == "nb":
+        model = nb_train(token_lists, y)
+        return model, model.vocab
+    vocab = build_vocabulary(token_lists)
+    if kind == "bow-lr":
+        return lr_train(bow_matrix(token_lists, vocab), y), vocab
+    if kind == "bow-dt":
+        return dt_train(bow_matrix(token_lists, vocab), y), vocab
+    encoded = [(vocab.encode(toks), 1.0 if lab == POSITIVE else -1.0)
+               for toks, lab in zip(token_lists, y)]
+    data = [(indices, label) for indices, label in encoded if indices]
+    params = lstm.init_params(len(vocab), seed=seed)
+    return lstm.lstm_train(data, params, epochs=epochs, seed=seed)[0], vocab
+
+
+class TestTrainSentimentEntryPoint:
+    @pytest.mark.parametrize("kind", ["nb", "bow-lr", "bow-dt", "lstm"])
+    def test_equals_the_trainer_with_its_defaults(self, labeled_fragments, tmp_path, kind):
+        from dishrec import pipeline
+        from dishrec.modelio import save_model
+
+        fragments, labels = labeled_fragments
+        epochs = {"epochs": 2} if kind == "lstm" else {}
+        got = pipeline.train_sentiment(kind, fragments, labels, seed=3, **epochs)
+        want = _direct_training(kind, fragments, labels, 3, epochs.get("epochs"))
+        for name, (model, vocab) in (("got", got), ("want", want)):
+            save_model(model, tmp_path / f"{name}.json", vocab=vocab, seed=3)
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["nb", "bow-dt"])
+    def test_unstepped_kinds_ignore_epochs_and_lr(self, labeled_fragments, tmp_path, kind):
+        from dishrec import pipeline
+        from dishrec.modelio import save_model
+
+        fragments, labels = labeled_fragments
+        for name, steps in (("plain", {}), ("stepped", {"epochs": 2, "lr": 9.0})):
+            model, vocab = pipeline.train_sentiment(kind, fragments, labels, **steps)
+            save_model(model, tmp_path / f"{name}.json", vocab=vocab)
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "stepped.json").read_bytes()
+
+    def test_misspelt_setting_raises_type_error(self, labeled_fragments):
+        from dishrec import pipeline
+
+        fragments, labels = labeled_fragments
+        with pytest.raises(TypeError):
+            pipeline.train_sentiment("bow-lr", fragments, labels, epoch=3)
